@@ -163,7 +163,8 @@ fn combine_pair(
 ///   growing accumulator, O(n·k) command work);
 /// * `merge` — run accumulation: arrivals are k-way merged into one
 ///   sorted run as soon as enough of them exist, and `finish` merges the
-///   runs. Without a spill config a run forms every [`MERGE_RUN_ARITY`]
+///   runs together with the leftover pending pieces in one flat merge.
+///   Without a spill config a run forms every [`MERGE_RUN_ARITY`]
 ///   pieces; under one, runs are sized to the budget instead — pieces
 ///   accumulate until their bytes reach a quarter of
 ///   [`SpillConfig::budget_bytes`] (capped at [`MERGE_RUN_MAX_PIECES`]
@@ -171,7 +172,15 @@ fn combine_pair(
 ///   a small merge frontier rather than one run per arity-batch of
 ///   arrivals. Each byte moves through at most two merges (versus one for
 ///   the all-at-once merge — that's the price of overlapping — and
-///   `log k` for a pairwise tree);
+///   `log k` for a pairwise tree). The merges are `sort -m` under the
+///   command's own order (see `kq_coreutils::sort`: exact GNU numeric
+///   order for `-n`, key order alone under `-u`), with ties broken by
+///   stream index — earlier data first — so any grouping of adjacent
+///   pieces into runs is byte-identical to one flat merge. An unspilled
+///   fold can also hand its final merge back as independent key ranges
+///   ([`finish_ranges`](IncrementalFold::finish_ranges)) for a caller
+///   with a worker pool to merge in parallel; a fold that spilled keeps
+///   the sequential, arity-bounded merge waves that bound its memory;
 /// * everything else (the structural stitches, arithmetic folds) — a
 ///   binary-counter tree fold: slot *i* holds a combined group of `2^i`
 ///   adjacent pieces, so each push performs O(1) amortized combines and
@@ -368,10 +377,14 @@ impl<'a> IncrementalFold<'a> {
             FoldState::Merge {
                 mut runs,
                 pending,
-                pending_bytes: _,
+                pending_bytes,
                 mut heap_bytes,
                 mut spilled,
             } => {
+                if !finish_spills(&spill, spilled, heap_bytes, pending_bytes) {
+                    runs.extend(pending);
+                    return combine_all(candidate, &runs, env);
+                }
                 if !pending.is_empty() {
                     let run = combine_all(candidate, &pending, env)?;
                     let run = maybe_spill_run(run, &spill, &mut heap_bytes, &mut spilled)?;
@@ -412,6 +425,200 @@ impl<'a> IncrementalFold<'a> {
             }
         }
     }
+
+    /// Settles like [`finish`](IncrementalFold::finish), except that the
+    /// final merge of an unspilled `merge` fold comes back cut into at
+    /// most `parts` key ranges ([`FoldFinish::Ranges`]) for the caller to
+    /// merge in parallel. The leftover pending pieces join the runs as
+    /// runs of their own, so no serial pending merge precedes the ranges.
+    ///
+    /// `parts - 1` splitter lines are sampled from the runs, and every run
+    /// is cut at each splitter by a binary search over its line starts
+    /// that sends every line ordered at or before the splitter left (an
+    /// upper bound). Lines equal to a splitter — key-equal under `-u` —
+    /// therefore all land in one range, where the stream-index tiebreak
+    /// and `-u` deduplication work exactly as in the flat merge; the
+    /// range outputs, concatenated in order, are byte-identical to it.
+    ///
+    /// Every other fold — other combiners, `parts <= 1`, a single run, or
+    /// a fold whose final merge spills (it keeps its memory-bounded
+    /// sequential waves) — settles exactly as `finish` does
+    /// ([`FoldFinish::Done`]).
+    pub fn finish_ranges(self, parts: usize) -> Result<FoldFinish<'a>, EvalError> {
+        let unspilled_merge = match &self.state {
+            FoldState::Merge {
+                pending_bytes,
+                heap_bytes,
+                spilled,
+                ..
+            } => !finish_spills(&self.spill, *spilled, *heap_bytes, *pending_bytes),
+            _ => false,
+        };
+        if parts <= 1 || !unspilled_merge {
+            return self.finish().map(FoldFinish::Done);
+        }
+        let IncrementalFold {
+            candidate,
+            env,
+            state: FoldState::Merge {
+                mut runs, pending, ..
+            },
+            ..
+        } = self
+        else {
+            unreachable!("checked above");
+        };
+        let Combiner::Run(RunOp::Merge(flags)) = &candidate.op else {
+            unreachable!("merge state belongs to a merge combiner");
+        };
+        runs.extend(pending);
+        runs.retain(|r| !r.is_empty());
+        if runs.len() <= 1 {
+            return Ok(FoldFinish::Done(runs.pop().unwrap_or_default()));
+        }
+        let order = kq_coreutils::sort::LineOrder::from_flags(flags)
+            .map_err(|e| EvalError::Command(e.to_string()))?;
+        Ok(FoldFinish::Ranges(RangeMerge {
+            candidate,
+            env,
+            ranges: cut_runs(&order, &runs, parts)?,
+        }))
+    }
+}
+
+/// Whether a merge fold's `finish` streams through temp files: once any
+/// run spilled, or when the leftover pending bytes would push the resident
+/// runs past the budget.
+fn finish_spills(
+    spill: &Option<SpillConfig>,
+    spilled: bool,
+    heap_bytes: usize,
+    pending_bytes: usize,
+) -> bool {
+    spilled
+        || spill
+            .as_ref()
+            .is_some_and(|cfg| heap_bytes.saturating_add(pending_bytes) > cfg.budget_bytes)
+}
+
+/// How [`IncrementalFold::finish_ranges`] settled.
+pub enum FoldFinish<'a> {
+    /// The combined stream.
+    Done(Bytes),
+    /// A final merge cut into key ranges, still to be merged.
+    Ranges(RangeMerge<'a>),
+}
+
+/// The final merge of a `merge` fold, cut into key ranges that merge
+/// independently: every line of range `r` orders before every line of
+/// range `r + 1`, so the range outputs in order are the flat merge.
+pub struct RangeMerge<'a> {
+    candidate: &'a Candidate,
+    env: &'a dyn RunEnv,
+    /// `ranges[r]`: the line-aligned slice of every run that falls in
+    /// range `r` (empty slices dropped), in run order.
+    ranges: Vec<Vec<Bytes>>,
+}
+
+impl RangeMerge<'_> {
+    /// Number of ranges (some may be empty).
+    pub fn len(&self) -> usize {
+        self.ranges.len()
+    }
+
+    /// Whether there are no ranges at all.
+    pub fn is_empty(&self) -> bool {
+        self.ranges.is_empty()
+    }
+
+    /// Merges range `r`.
+    pub fn merge_range(&self, r: usize) -> Result<Bytes, EvalError> {
+        let merged = combine_all(self.candidate, &self.ranges[r], self.env)?;
+        if merged.is_empty() || merged.as_bytes().ends_with(b"\n") {
+            return Ok(merged);
+        }
+        // A range of one slice passes through unmerged, but the flat merge
+        // of two or more runs terminates an unterminated last line.
+        Ok(Bytes::from(format!("{}\n", view(&merged)?)))
+    }
+}
+
+/// Splitter samples drawn per range: enough that byte-weighted quantiles
+/// balance the ranges to within a few percent, few enough that sampling
+/// is free next to the merge.
+const SAMPLES_PER_RANGE: usize = 32;
+
+/// The line of `text` containing byte `pos`, as `(start, line)`.
+fn line_around(text: &str, pos: usize) -> (usize, &str) {
+    let bytes = text.as_bytes();
+    let start = bytes[..pos]
+        .iter()
+        .rposition(|&c| c == b'\n')
+        .map_or(0, |n| n + 1);
+    let end = bytes[start..]
+        .iter()
+        .position(|&c| c == b'\n')
+        .map_or(text.len(), |n| start + n);
+    (start, &text[start..end])
+}
+
+/// The first line start in `lo..=hi` whose line orders after `splitter`
+/// (`hi` when none does). `lo` and `hi` are line starts (or the end of the
+/// text); lines before `lo` must order at or before the splitter.
+fn upper_bound(
+    order: &kq_coreutils::sort::LineOrder,
+    text: &str,
+    mut lo: usize,
+    mut hi: usize,
+    splitter: &str,
+) -> usize {
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        let (start, line) = line_around(text, mid);
+        if order.compare(line, splitter).is_gt() {
+            hi = start;
+        } else {
+            lo = (start + line.len() + 1).min(text.len());
+        }
+    }
+    lo
+}
+
+/// Cuts sorted `runs` into at most `parts` key ranges: `parts - 1`
+/// splitters at the byte-weighted quantiles of lines sampled evenly over
+/// every run, then an [`upper_bound`] cut of each run per splitter.
+fn cut_runs(
+    order: &kq_coreutils::sort::LineOrder,
+    runs: &[Bytes],
+    parts: usize,
+) -> Result<Vec<Vec<Bytes>>, EvalError> {
+    let texts: Vec<&str> = runs.iter().map(view).collect::<Result<_, _>>()?;
+    let total: usize = texts.iter().map(|t| t.len()).sum();
+    let wanted = SAMPLES_PER_RANGE * parts;
+    let mut samples: Vec<&str> = Vec::with_capacity(wanted + texts.len());
+    for text in &texts {
+        let n = (text.len() * wanted).div_ceil(total.max(1)).max(1);
+        samples.extend((0..n).map(|j| line_around(text, (2 * j + 1) * text.len() / (2 * n)).1));
+    }
+    samples.sort_by(|a, b| order.compare(a, b));
+    let splitters: Vec<&str> = (1..parts)
+        .map(|j| samples[j * samples.len() / parts])
+        .collect();
+    let mut ranges: Vec<Vec<Bytes>> = vec![Vec::new(); parts];
+    for (run, text) in runs.iter().zip(&texts) {
+        let mut from = 0;
+        for (r, range) in ranges.iter_mut().enumerate() {
+            let to = match splitters.get(r) {
+                Some(splitter) => upper_bound(order, text, from, text.len(), splitter),
+                None => text.len(),
+            };
+            if to > from {
+                range.push(run.slice(from..to));
+            }
+            from = to;
+        }
+    }
+    Ok(ranges)
 }
 
 /// Fragment granularity of the streamed spilled-run merge: how much merged
@@ -1055,6 +1262,124 @@ mod tests {
         });
     }
 
+    /// A run environment whose merge honors its flags, as `CommandEnv`'s
+    /// does.
+    struct SortEnv;
+
+    impl RunEnv for SortEnv {
+        fn rerun(&self, input: &str) -> Result<String, EvalError> {
+            Ok(input.to_owned())
+        }
+
+        fn merge(&self, flags: &[String], streams: &[&str]) -> Result<String, EvalError> {
+            kq_coreutils::sort::merge_streams(flags, streams)
+                .map_err(|e| EvalError::Command(e.to_string()))
+        }
+    }
+
+    /// `lines` sorted by `sort <flags>`, optionally without the final
+    /// newline.
+    fn sorted_run(flags: &str, lines: &[String], unterminated: bool) -> Bytes {
+        let cmd = kq_coreutils::parse_command(&format!("sort {flags}")).unwrap();
+        let input: String = lines.iter().map(|l| format!("{l}\n")).collect();
+        let mut text = cmd
+            .run_str(&input, &kq_coreutils::ExecContext::default())
+            .unwrap();
+        if unterminated {
+            text.pop();
+        }
+        Bytes::from(text)
+    }
+
+    fn merge_candidate(flags: &str) -> Candidate {
+        let words = flags.split_whitespace().map(str::to_owned).collect();
+        Candidate::run(RunOp::Merge(words))
+    }
+
+    /// Pushes `pieces`, settles through `finish_ranges(parts)`, and merges
+    /// the ranges in order; also returns the per-range output sizes.
+    fn settle_ranges(c: &Candidate, pieces: &[Bytes], parts: usize) -> (Bytes, Vec<usize>) {
+        let mut fold = IncrementalFold::new(c, &SortEnv);
+        for p in pieces {
+            fold.push(p.clone()).unwrap();
+        }
+        match fold.finish_ranges(parts).unwrap() {
+            FoldFinish::Done(b) => (b, Vec::new()),
+            FoldFinish::Ranges(ranges) => {
+                assert!(ranges.len() <= parts.max(1));
+                let outs: Vec<Bytes> = (0..ranges.len())
+                    .map(|r| ranges.merge_range(r).unwrap())
+                    .collect();
+                let sizes = outs.iter().map(Bytes::len).collect();
+                (kq_stream::concat_bytes(&outs), sizes)
+            }
+        }
+    }
+
+    #[test]
+    fn partitioned_merge_with_every_splitter_equal() {
+        // All lines equal: every splitter is that line, the upper-bound
+        // cut sends everything to range 0, and the rest stay empty.
+        for flags in ["", "-u", "-rn"] {
+            let c = merge_candidate(flags);
+            let pieces: Vec<Bytes> = (0..5).map(|_| Bytes::from("x\nx\nx\n")).collect();
+            let flat = combine_all(&c, &pieces, &SortEnv).unwrap();
+            let (got, sizes) = settle_ranges(&c, &pieces, 3);
+            assert_eq!(got, flat, "flags {flags:?}");
+            assert_eq!(sizes.len(), 3);
+            assert!(sizes[1..].iter().all(|&n| n == 0), "{sizes:?}");
+        }
+    }
+
+    #[test]
+    fn partitioned_merge_with_more_ranges_than_lines() {
+        let c = merge_candidate("");
+        let pieces = s(&["b\n", "a\n", "", "c"]);
+        let flat = combine_all(&c, &pieces, &SortEnv).unwrap();
+        assert_eq!(flat, "a\nb\nc\n");
+        let (got, sizes) = settle_ranges(&c, &pieces, 8);
+        assert_eq!(got, flat);
+        assert!(sizes.iter().filter(|&&n| n == 0).count() >= 5, "{sizes:?}");
+    }
+
+    #[test]
+    fn partitioned_merge_balances_distinct_keys() {
+        let c = merge_candidate("-n");
+        let pieces: Vec<Bytes> = (0..6)
+            .map(|r| {
+                let lines: Vec<String> = (0..500).map(|i| (i * 6 + r).to_string()).collect();
+                sorted_run("-n", &lines, false)
+            })
+            .collect();
+        let flat = combine_all(&c, &pieces, &SortEnv).unwrap();
+        let (got, sizes) = settle_ranges(&c, &pieces, 2);
+        assert_eq!(got, flat);
+        let total: usize = sizes.iter().sum();
+        assert!(
+            sizes.iter().all(|&n| n * 10 > total * 3),
+            "ranges unbalanced: {sizes:?}"
+        );
+    }
+
+    #[test]
+    fn single_worker_and_spilled_folds_settle_whole() {
+        let c = merge_candidate("");
+        let pieces = s(&["a\nc\n", "b\n"]);
+        let mut fold = IncrementalFold::new(&c, &SortEnv);
+        for p in &pieces {
+            fold.push(p.clone()).unwrap();
+        }
+        assert!(matches!(fold.finish_ranges(1).unwrap(), FoldFinish::Done(b) if b == "a\nb\nc\n"));
+        with_spill_dir("ranges", 0, |cfg| {
+            let mut fold = IncrementalFold::new_with_spill(&c, &SortEnv, Some(cfg.clone()));
+            for p in &pieces {
+                fold.push(p.clone()).unwrap();
+            }
+            let settled = fold.finish_ranges(4).unwrap();
+            assert!(matches!(settled, FoldFinish::Done(b) if b == "a\nb\nc\n"));
+        });
+    }
+
     proptest::proptest! {
         /// The satellite property: a spill-everything fold equals the
         /// in-memory combine_all for arbitrary sorted pieces.
@@ -1087,6 +1412,32 @@ mod tests {
             }
             let got = fold.finish().unwrap();
             std::fs::remove_dir_all(&dir).ok();
+            proptest::prop_assert_eq!(got, flat);
+        }
+
+        /// A partitioned finish, its ranges merged and concatenated in
+        /// order, equals `combine_all` — for every flag form's order (`-nu`:
+        /// distinct lines with equal keys must share a range), any range
+        /// count, runs formed during pushes (more pieces than
+        /// MERGE_RUN_ARITY) or not, and unterminated final lines.
+        #[test]
+        fn prop_partitioned_merge_equals_combine_all(
+            raw in proptest::collection::vec(
+                (proptest::collection::vec("[ 0-9a-]{0,3}", 0..12), 0usize..4),
+                0..45,
+            ),
+            form in 0usize..5,
+            parts_pick in 0usize..4,
+        ) {
+            let flags = ["", "-rn", "-u", "-k1n", "-nu"][form];
+            let parts = [1, 2, 3, 8][parts_pick];
+            let pieces: Vec<Bytes> = raw
+                .iter()
+                .map(|(lines, cut)| sorted_run(flags, lines, *cut == 0))
+                .collect();
+            let c = merge_candidate(flags);
+            let flat = combine_all(&c, &pieces, &SortEnv).unwrap();
+            let (got, _) = settle_ranges(&c, &pieces, parts);
             proptest::prop_assert_eq!(got, flat);
         }
     }

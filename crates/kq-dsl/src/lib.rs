@@ -60,7 +60,9 @@ pub use filter::{
     eliminated_count, filter_candidates, filter_candidates_partitioned, retain_by_mask,
 };
 pub use kq_stream::Delim;
-pub use kway::{combine_all, combine_all_with, CombineStrategy, IncrementalFold};
+pub use kway::{
+    combine_all, combine_all_with, CombineStrategy, FoldFinish, IncrementalFold, RangeMerge,
+};
 pub use spill::{SpillConfig, SpillMetrics, SpillPolicy};
 
 /// An observation `⟨y1, y2, y12⟩ = ⟨f(x1), f(x2), f(x1 ++ x2)⟩`

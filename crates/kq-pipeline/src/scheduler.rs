@@ -51,6 +51,21 @@
 //! cursor exactly like the streaming feeder, so mapped multi-GB inputs
 //! stream through at O(window) resident memory.
 //!
+//! # Partitioned fold finish
+//!
+//! A `merge` fold (`sort`) that did not spill settles through
+//! [`IncrementalCombine::finish_ranges`] with one key range per
+//! [`FINISH_RANGE_BYTES`] of fold input: the fold samples splitter lines,
+//! cuts every sorted run at them, and the node schedules one task per
+//! range on the pool (`fold-finish` spans stamped with the range index).
+//! The node's emission streams the range outputs in order as they land,
+//! without concatenating them, so the first range can feed downstream —
+//! and satisfy an early-exit bound, cancelling the statement — while later
+//! ranges still merge. The range count depends on the data alone, never
+//! on the worker count, so emitted chunk boundaries and span identities
+//! stay the same for every pool size. Small folds (one range), and folds
+//! whose runs spilled, settle whole as before.
+//!
 //! # Adaptive control loop
 //!
 //! Two knobs can run closed-loop instead of fixed (see the crate docs for
@@ -90,11 +105,12 @@ use crate::plan::{PlannedScript, StageMode};
 use crossbeam::deque::{Injector, Steal, Stealer, Worker};
 use kq_coreutils::{CmdError, Command, ExecContext};
 use kq_dsl::eval::CommandEnv;
+use kq_dsl::{FoldFinish, RangeMerge};
 use kq_stream::{Bytes, IncrementalChunker, Rope};
 use kq_synth::IncrementalCombine;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// How the dataflow executor sizes split/re-chunk pieces (the
@@ -155,6 +171,15 @@ const COARSEN_EVERY: usize = 8;
 /// target stops growing after ~56 cuts, or earlier at
 /// [`AUTO_CHUNK_MAX`]).
 const MAX_COARSEN_DOUBLINGS: u32 = 6;
+
+/// Target fold input bytes per key range of a partitioned fold finish (see
+/// the [module docs](self)): small enough that a 2–8 worker pool gets
+/// enough range tasks to balance on a multi-MiB sort, large enough that
+/// each range merge dwarfs its task and frontier set-up.
+const FINISH_RANGE_BYTES: usize = 1 << 20;
+
+/// Cap on the key ranges of one partitioned fold finish.
+const MAX_FINISH_RANGES: usize = 64;
 
 /// Minimum interval between credit-rebalancing controller ticks.
 const CREDIT_TICK: Duration = Duration::from_millis(1);
@@ -257,8 +282,19 @@ impl Edge {
 /// A lazy cursor over a materialized stream: cuts line-aligned chunks on
 /// demand and trails a page-release hint (`release_lag` bytes) behind,
 /// mirroring the streaming executor's `send_chunked` discipline.
+///
+/// The stream is a list of parts emitted in order without being
+/// concatenated. A part can still be in production — a range of a
+/// partitioned fold finish whose merge is running — and emission stops in
+/// front of it until it is [filled](Emit::fill). A part is dropped once
+/// it has been cut completely.
 struct Emit {
-    source: Bytes,
+    /// The stream's parts. Before index `part` every entry is `None`
+    /// (emitted and dropped); from `part` on, `None` marks a part still in
+    /// production.
+    parts: Vec<Option<Bytes>>,
+    /// The part being cut.
+    part: usize,
     cursor: usize,
     released: usize,
     /// Chunks cut so far — the `seq` stamp on the cut's trace span.
@@ -267,34 +303,78 @@ struct Emit {
 
 impl Emit {
     fn new(source: Bytes) -> Emit {
+        let mut emit = Emit::pending(1);
+        emit.fill(0, source);
+        emit
+    }
+
+    /// A stream of `parts` parts, none produced yet.
+    fn pending(parts: usize) -> Emit {
         Emit {
-            source,
+            parts: vec![None; parts],
+            part: 0,
             cursor: 0,
             released: 0,
             chunks: 0,
         }
     }
 
+    /// Part `index` has been produced.
+    fn fill(&mut self, index: usize, bytes: Bytes) {
+        self.parts[index] = Some(bytes);
+        self.skip_empty();
+    }
+
+    fn skip_empty(&mut self) {
+        while self
+            .parts
+            .get(self.part)
+            .is_some_and(|p| p.as_ref().is_some_and(Bytes::is_empty))
+        {
+            self.parts[self.part] = None;
+            self.part += 1;
+        }
+    }
+
     fn done(&self) -> bool {
-        self.cursor >= self.source.len()
+        self.part >= self.parts.len()
+    }
+
+    /// The next chunk can be cut now (the current part is produced).
+    fn ready(&self) -> bool {
+        self.parts.get(self.part).is_some_and(Option::is_some)
     }
 
     fn next_chunk(&mut self, chunk_bytes: usize, release_lag: usize) -> Bytes {
-        let end = next_chunk_end(self.source.as_bytes(), self.cursor, chunk_bytes);
-        let chunk = self.source.slice(self.cursor..end);
+        let source = self.parts[self.part]
+            .as_ref()
+            .expect("emit of a ready part");
+        let end = next_chunk_end(source.as_bytes(), self.cursor, chunk_bytes);
+        let chunk = source.slice(self.cursor..end);
         self.cursor = end;
         self.chunks += 1;
         if self.cursor > self.released + 2 * release_lag {
             let upto = self.cursor - release_lag;
-            self.source.release_range(self.released..upto);
+            source.release_range(self.released..upto);
             self.released = upto;
+        }
+        if self.cursor >= source.len() {
+            self.parts[self.part] = None;
+            self.part += 1;
+            self.cursor = 0;
+            self.released = 0;
+            self.skip_empty();
         }
         chunk
     }
 
     /// Nobody will read the rest: drop the whole resident tail.
     fn abandon(&self) {
-        self.source.release_range(self.released..self.source.len());
+        let mut released = self.released;
+        for source in self.parts.iter().skip(self.part).flatten() {
+            source.release_range(released..source.len());
+            released = 0;
+        }
     }
 }
 
@@ -342,6 +422,10 @@ struct NodeState<'a> {
     /// Fold(Combine): this node's spill counters (shared with `accum`),
     /// snapshotted into the node's StageTiming after the run.
     spill_metrics: Option<std::sync::Arc<kq_dsl::SpillMetrics>>,
+    /// Fold(Combine): a partitioned final merge whose ranges are not all
+    /// claimed yet, and the next unclaimed range.
+    ranges: Option<Arc<RangeMerge<'a>>>,
+    next_range: usize,
     /// Fold(Gather) / BoundedConsumer: the gathered input prefix.
     rope: Rope,
     /// BoundedConsumer: complete lines gathered so far.
@@ -372,6 +456,8 @@ impl NodeState<'_> {
             chunks_out: 0,
             accum: None,
             spill_metrics: None,
+            ranges: None,
+            next_range: 0,
             rope: Rope::new(),
             seen_lines: 0,
             chunks_consumed: 0,
@@ -1188,10 +1274,13 @@ fn map_task(cx: &Cx<'_, '_>, si: usize, ni: usize) {
         }
         match st.phase {
             Phase::Collecting => {}
-            // A credit-freed wakeup can land while the fold's combined
-            // output is streaming out: continue the emission.
+            // A range task of a partitioned fold finish, or a
+            // credit-freed wakeup while the fold's combined output is
+            // streaming out: merge a range if one is left, then continue
+            // the emission.
             Phase::Emitting(_) => {
                 drop(st);
+                merge_fold_range(cx, si, ni);
                 emit_task(cx, si, ni);
                 return;
             }
@@ -1328,24 +1417,32 @@ fn maybe_finalize_map(cx: &Cx<'_, '_>, si: usize, ni: usize) {
         close_edge(cx, si, ni);
     } else {
         // Fold(Combine): settle the incremental fold outside the lock —
-        // this is where `sort`'s final run merge happens.
-        let accum = {
+        // this is where `sort`'s final run merge happens. A large merge
+        // fold comes back cut into key ranges: each range is a task of its
+        // own, and the ranges stream out in order as they complete.
+        let (accum, parts) = {
             let mut st = lock(&stmt.nodes[ni]);
             if st.cancelled || !matches!(st.phase, Phase::Collecting) || st.inflight > 0 {
                 return;
             }
             st.phase = Phase::Running;
-            st.accum.take().expect("combine fold accum")
+            let parts = (st.bytes_out_pieces / FINISH_RANGE_BYTES).clamp(1, MAX_FINISH_RANGES);
+            (st.accum.take().expect("combine fold accum"), parts)
         };
-        let closing = stmt.chains[ni][0];
+        // `fold-finish` when the fold settles whole; `fold-cut` (sampling
+        // splitters and cutting the runs) when it comes back as ranges,
+        // each of which then records its own `fold-finish`.
         let span = kq_trace::span("dataflow", "fold-finish").si(si).ni(ni);
         let t0 = Instant::now();
-        let finished = accum.finish();
-        span.done();
+        let finished = accum.finish_ranges(parts);
+        let elapsed = t0.elapsed();
         match finished {
-            Err(e) => stmt_error(cx, si, CmdError::new(closing.display(), e.to_string())),
-            Ok(combined) => {
-                let elapsed = t0.elapsed();
+            Err(e) => {
+                span.done();
+                fold_error(cx, si, ni, e);
+            }
+            Ok(FoldFinish::Done(combined)) => {
+                span.done();
                 {
                     let mut st = lock(&stmt.nodes[ni]);
                     st.combine_time += elapsed;
@@ -1353,6 +1450,79 @@ fn maybe_finalize_map(cx: &Cx<'_, '_>, si: usize, ni: usize) {
                     st.phase = Phase::Emitting(Emit::new(combined));
                 }
                 emit_task(cx, si, ni);
+            }
+            Ok(FoldFinish::Ranges(ranges)) => {
+                span.rename("fold-cut").v(ranges.len() as f64).done();
+                let count = ranges.len();
+                {
+                    let mut st = lock(&stmt.nodes[ni]);
+                    st.combine_time += elapsed;
+                    st.ranges = Some(Arc::new(ranges));
+                    st.phase = Phase::Emitting(Emit::pending(count));
+                }
+                for _ in 1..count {
+                    cx.schedule((si, ni));
+                }
+                merge_fold_range(cx, si, ni);
+                emit_task(cx, si, ni);
+            }
+        }
+    }
+}
+
+/// Surfaces a combine failure at fold node `ni` as the statement's error,
+/// attributed to the fold's command.
+fn fold_error(cx: &Cx<'_, '_>, si: usize, ni: usize, e: kq_dsl::EvalError) {
+    let closing = cx.rt.stmts[si].chains[ni][0];
+    stmt_error(cx, si, CmdError::new(closing.display(), e.to_string()));
+}
+
+/// One range task of a partitioned fold finish: claims the next unmerged
+/// key range of fold node `ni` (if any is left), merges it outside every
+/// lock, and hands the output to the node's emission. A statement
+/// cancelled meanwhile (early exit, error) drops the output.
+fn merge_fold_range(cx: &Cx<'_, '_>, si: usize, ni: usize) {
+    let stmt = &cx.rt.stmts[si];
+    let (ranges, r) = {
+        let mut st = lock(&stmt.nodes[ni]);
+        if st.cancelled {
+            return;
+        }
+        let Some(ranges) = st.ranges.clone() else {
+            return;
+        };
+        let r = st.next_range;
+        st.next_range += 1;
+        if st.next_range == ranges.len() {
+            // Last claim: the runs the ranges slice live on only in the
+            // in-flight range tasks' handles.
+            st.ranges = None;
+        }
+        (ranges, r)
+    };
+    let span = kq_trace::span("dataflow", "fold-finish")
+        .si(si)
+        .ni(ni)
+        .seq(r);
+    let t0 = Instant::now();
+    let merged = ranges.merge_range(r);
+    let elapsed = t0.elapsed();
+    drop(ranges);
+    match merged {
+        Err(e) => {
+            span.done();
+            fold_error(cx, si, ni, e);
+        }
+        Ok(out) => {
+            span.v(out.len() as f64).done();
+            let mut st = lock(&stmt.nodes[ni]);
+            if st.cancelled {
+                return;
+            }
+            st.combine_time += elapsed;
+            st.bytes_out += out.len();
+            if let Phase::Emitting(emit) = &mut st.phase {
+                emit.fill(r, out);
             }
         }
     }
@@ -1554,6 +1724,13 @@ fn emit_task(cx: &Cx<'_, '_>, si: usize, ni: usize) {
                 st.phase = Phase::Done;
                 break;
             }
+            if matches!(&st.phase, Phase::Emitting(emit) if !emit.ready()) {
+                // The next part is a fold-finish range still merging; its
+                // range task resumes the emission when it lands.
+                drop(st);
+                schedule_pushes(cx, si, ni + 1, pushed);
+                return;
+            }
             if !last && stmt.edges[ni].check_gate() {
                 st.gate_since.get_or_insert_with(Instant::now);
                 drop(st);
@@ -1601,6 +1778,7 @@ fn cancel_upstream(cx: &Cx<'_, '_>, si: usize, upto: usize) {
             emit.abandon();
         }
         st.phase = Phase::Done;
+        st.ranges = None;
     }
     for e in 0..upto {
         let mut q = lock(&stmt.edges[e].q);

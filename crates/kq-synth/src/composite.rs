@@ -202,7 +202,7 @@ pub struct IncrementalCombine<'a> {
     failed: Option<EvalError>,
 }
 
-impl IncrementalCombine<'_> {
+impl<'a> IncrementalCombine<'a> {
     /// Folds in the next substream. Never fails: an error either defers
     /// to [`finish`](Self::finish) (authoritative path) or disables the
     /// speculation so `finish` takes the gather-first fallback
@@ -285,6 +285,19 @@ impl IncrementalCombine<'_> {
                 self.combiner.combine_all(&raw, self.env)
             }
         }
+    }
+
+    /// Settles like [`finish`](Self::finish), except that an
+    /// authoritative `merge` fold may hand its final merge back as at most
+    /// `parts` key ranges to merge in parallel (see
+    /// [`kway::IncrementalFold::finish_ranges`]).
+    pub fn finish_ranges(mut self, parts: usize) -> Result<kway::FoldFinish<'a>, EvalError> {
+        if self.raw.is_none() && self.failed.is_none() {
+            if let Some(fold) = self.fold.take() {
+                return fold.finish_ranges(parts);
+            }
+        }
+        self.finish().map(kway::FoldFinish::Done)
     }
 }
 

@@ -240,6 +240,14 @@ impl Span {
         self
     }
 
+    /// Renames the span, for work whose kind is only known once it ran.
+    pub fn rename(mut self, name: &'static str) -> Span {
+        if let Some(inner) = &mut self.0 {
+            inner.name = name;
+        }
+        self
+    }
+
     /// Ends the span now (equivalent to dropping it).
     pub fn done(self) {}
 }

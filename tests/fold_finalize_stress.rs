@@ -28,31 +28,45 @@ use std::time::Duration;
 
 const ITERATIONS: usize = 3000;
 
-/// Plans `script_text` over a 300-line input and returns the shared
-/// state each stress iteration re-executes.
-fn plan_stress_script(script_text: &str) -> (Arc<Script>, Arc<PlannedScript>, Arc<ExecContext>) {
+/// Plans `script_text` over a `lines`-line input (sampling its first 300
+/// lines) and returns the shared state each stress iteration re-executes.
+fn plan_stress_script(
+    script_text: &str,
+    lines: usize,
+) -> (Arc<Script>, Arc<PlannedScript>, Arc<ExecContext>) {
     let env: HashMap<String, String> = HashMap::new();
     let mut input = String::new();
-    for i in 0..300 {
+    let mut sample_len = 0;
+    for i in 0..lines {
         input.push_str(&format!("line {} {}\n", i % 7, i));
+        if i < 300 {
+            sample_len = input.len();
+        }
     }
     let script = parse_script(script_text, &env).unwrap();
     let ctx = ExecContext::default();
     ctx.vfs.write("/in.txt", &input);
     let mut planner = Planner::new(SynthesisConfig::default());
-    let plan = planner.plan(&script, &ctx, &input);
+    let plan = planner.plan(&script, &ctx, &input[..sample_len]);
     (Arc::new(script), Arc::new(plan), Arc::new(ctx))
 }
 
-/// Runs the planned script `ITERATIONS` times under the race-friendly
-/// configuration, each run on a detached watchdog-guarded thread.
+/// Runs the planned script `ITERATIONS` times over a 300-line input under
+/// the race-friendly configuration.
 fn stress(script_text: &str) {
-    let (script, plan, ctx) = plan_stress_script(script_text);
+    stress_with(script_text, 300, ITERATIONS);
+}
+
+/// Runs the planned script `iterations` times over a `lines`-line input
+/// under the race-friendly configuration, each run on a detached
+/// watchdog-guarded thread.
+fn stress_with(script_text: &str, lines: usize, iterations: usize) {
+    let (script, plan, ctx) = plan_stress_script(script_text, lines);
     let expect = {
         let opts = DataflowOptions::default();
         run_dataflow(&script, &plan, &ctx, &opts).unwrap().output
     };
-    for iter in 0..ITERATIONS {
+    for iter in 0..iterations {
         let (tx, rx) = mpsc::channel();
         let (script, plan, ctx) = (script.clone(), plan.clone(), ctx.clone());
         std::thread::spawn(move || {
@@ -87,4 +101,15 @@ fn gather_finalize_stress() {
 #[test]
 fn combine_finalize_stress() {
     stress("cat /in.txt | sort");
+}
+
+/// Early exit racing a partitioned fold finish: the input is large enough
+/// (~3 MiB) that the sort fold's final merge is cut into key ranges, the
+/// first range to land streams into `head -n 1`, and the bound's
+/// cancellation tears the statement down while the other range tasks are
+/// still merging. Every iteration must finish (watchdog) with the same
+/// answer.
+#[test]
+fn early_exit_during_partitioned_fold_finish_stress() {
+    stress_with("cat /in.txt | sort | head -n 1", 220_000, 40);
 }
