@@ -7,20 +7,18 @@
 //! all of that with refcounted slices: splitting N bytes into k pieces
 //! allocates O(k).
 //!
-//! Three measurements pin the claim:
+//! Two measurements pin the claim:
 //!
 //! * `split/*` — the legacy copy-per-piece split versus `Bytes::split_stream`
 //!   on the same 64 MiB stream;
 //! * `split_scaling/*` — Bytes split cost across 1→64 MiB inputs (flat when
-//!   split is pointer arithmetic, linear when it copies);
-//! * `chunked_exec/*` — the chunked executor's piece setup (split + chunk
-//!   hand-off + gather) in both regimes.
+//!   split is pointer arithmetic, linear when it copies).
 //!
 //! Run with `cargo bench --bench bytes_dataplane` and record the numbers
 //! in CHANGES.md when they move.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use kq_stream::{concat_bytes, Bytes};
+use kq_stream::Bytes;
 use kq_workloads::inputs::gutenberg_text;
 use std::hint::black_box;
 
@@ -31,13 +29,6 @@ const MIB: usize = 1024 * 1024;
 /// the Bytes data plane).
 fn legacy_split_owned(input: &str, k: usize) -> Vec<String> {
     kq_stream::split_stream(input, k)
-        .into_iter()
-        .map(str::to_owned)
-        .collect()
-}
-
-fn legacy_chunks_owned(input: &str, target: usize) -> Vec<String> {
-    kq_stream::split_chunks(input, target)
         .into_iter()
         .map(str::to_owned)
         .collect()
@@ -80,39 +71,5 @@ fn bench_split_scaling(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_chunked_exec(c: &mut Criterion) {
-    // Chunked-executor piece plumbing: cut the stream into 64 KiB chunks,
-    // hand each through a pass-through stage, and gather the outputs in
-    // order — the data movement run_chunked performs around the real
-    // command work. The legacy path owns every chunk and regathers with
-    // String concat; the Bytes path moves refcounted handles and regathers
-    // through a rope.
-    let text = gutenberg_text(64 * MIB, 23);
-    let shared = Bytes::from(text.as_str());
-    let chunk = 64 * 1024;
-
-    let mut group = c.benchmark_group("chunked_exec");
-    group.throughput(Throughput::Bytes(text.len() as u64));
-    group.sample_size(10);
-    group.bench_function("string_64MiB_64KiB_chunks", |b| {
-        b.iter(|| {
-            let outputs: Vec<String> = legacy_chunks_owned(black_box(&text), chunk);
-            outputs.concat().len()
-        })
-    });
-    group.bench_function("bytes_64MiB_64KiB_chunks", |b| {
-        b.iter(|| {
-            let outputs: Vec<Bytes> = black_box(&shared).split_chunks(chunk);
-            concat_bytes(&outputs).len()
-        })
-    });
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_split,
-    bench_split_scaling,
-    bench_chunked_exec
-);
+criterion_group!(benches, bench_split, bench_split_scaling);
 criterion_main!(benches);

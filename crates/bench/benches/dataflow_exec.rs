@@ -1,14 +1,11 @@
-//! Shared-pool dataflow scheduler versus per-segment-pool streaming on a
+//! Shared-pool dataflow scheduler versus the serial oracle on a
 //! multi-statement script — the workload the unified runtime exists for.
 //!
-//! The streaming executor runs statements one at a time, and each
-//! statement spawns its own feeder + per-segment worker pools which are
-//! torn down at the statement barrier. The dataflow scheduler compiles
-//! every statement to one graph and runs the whole script on a single
-//! fixed pool, so (a) pool spawn/teardown is paid once per script rather
-//! than once per segment, and (b) statements without VFS dependencies
-//! overlap on the shared workers. This bench times both at w=4 on an
-//! eight-statement redirect script and persists the medians to
+//! The dataflow scheduler compiles every statement to one graph and runs
+//! the whole script on a single fixed pool, so pool spawn/teardown is
+//! paid once per script and statements without VFS dependencies overlap
+//! on the shared workers. This bench times serial and dataflow at w=4 on
+//! an eight-statement redirect script and persists the medians to
 //! `BENCH_dataflow.json` at the repo root, so the perf trajectory is
 //! tracked across PRs instead of living only in CI logs.
 //!
@@ -23,7 +20,6 @@ use kq_pipeline::exec::run_serial;
 use kq_pipeline::parse::parse_script;
 use kq_pipeline::plan::Planner;
 use kq_pipeline::scheduler::{run_dataflow, ChunkSizing, DataflowOptions, QueueCredit};
-use kq_pipeline::streaming::{run_streaming, StreamingOptions};
 use kq_synth::SynthesisConfig;
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -34,9 +30,8 @@ const CHUNK_BYTES: usize = 128 * 1024;
 /// Eight statements over one input: a fold-heavy frequency pipeline
 /// checkpointed to a redirect, six independent analyses free to overlap
 /// it, and a reader of the first statement's target (a real RAW
-/// dependency). Statement count is the axis that separates the executors:
-/// streaming pays feeder + per-segment pools + a drain barrier per
-/// statement, dataflow pays one pool for the whole script.
+/// dependency). Dataflow pays one pool for the whole script, whatever the
+/// statement count.
 const SCRIPT: &str =
     "cat /in.txt | grep -v qqq | tr A-Z a-z | sort | uniq -c | sort -rn > /out/freq\n\
                       cat /in.txt | cut -d ' ' -f 1 | sort -u > /out/first\n\
@@ -124,13 +119,6 @@ fn main() {
         .unwrap_or(input.len());
     let plan = planner.plan(&script, &fresh_ctx(&input), &input[..cut]);
 
-    let sopts = StreamingOptions {
-        workers: WORKERS,
-        chunk_bytes: CHUNK_BYTES,
-        queue_depth: 4,
-        fuse_streamable: true,
-        spill: None,
-    };
     let dopts = DataflowOptions {
         workers: WORKERS,
         chunk: ChunkSizing::Fixed(CHUNK_BYTES),
@@ -139,30 +127,22 @@ fn main() {
         spill: None,
     };
 
-    // Correctness guard before timing anything: both executors must agree
-    // with serial on stdout AND on every redirect target.
+    // Correctness guard before timing anything: dataflow must agree with
+    // serial on stdout AND on every redirect target.
     let serial_ctx = fresh_ctx(&input);
     let serial = run_serial(&script, &serial_ctx).unwrap();
-    for (name, output, ctx) in [
-        {
-            let ctx = fresh_ctx(&input);
-            let r = run_streaming(&script, &plan, &ctx, &sopts).unwrap();
-            ("streaming", r.output, ctx)
-        },
-        {
-            let ctx = fresh_ctx(&input);
-            let r = run_dataflow(&script, &plan, &ctx, &dopts).unwrap();
-            ("dataflow", r.output, ctx)
-        },
-    ] {
-        assert_eq!(output, serial.output, "{name}: stdout diverged from serial");
-        for target in ["/out/freq", "/out/first"] {
-            assert_eq!(
-                ctx.vfs.read(target).map(|s| s.to_owned()),
-                serial_ctx.vfs.read(target).map(|s| s.to_owned()),
-                "{name}: wrong bytes in {target}"
-            );
-        }
+    let ctx = fresh_ctx(&input);
+    let r = run_dataflow(&script, &plan, &ctx, &dopts).unwrap();
+    assert_eq!(
+        r.output, serial.output,
+        "dataflow: stdout diverged from serial"
+    );
+    for target in ["/out/freq", "/out/first"] {
+        assert_eq!(
+            ctx.vfs.read(target).map(|s| s.to_owned()),
+            serial_ctx.vfs.read(target).map(|s| s.to_owned()),
+            "dataflow: wrong bytes in {target}"
+        );
     }
 
     let n = if quick_mode() { 1 } else { 9 };
@@ -194,17 +174,6 @@ fn main() {
         }),
     );
     push(
-        "streaming_w4",
-        median_of(n, || {
-            let ctx = fresh_ctx(&input);
-            let t0 = Instant::now();
-            let r = run_streaming(&script, &plan, &ctx, &sopts).unwrap();
-            let dt = t0.elapsed();
-            std::hint::black_box(r.output.len());
-            dt
-        }),
-    );
-    push(
         "dataflow_w4",
         median_of(n, || {
             let ctx = fresh_ctx(&input);
@@ -215,15 +184,6 @@ fn main() {
             dt
         }),
     );
-
-    let ms = |name: &str| {
-        rows.iter()
-            .find(|r| r.name == name)
-            .map(|r| r.median.as_secs_f64() * 1e3)
-            .unwrap()
-    };
-    let speedup = ms("streaming_w4") / ms("dataflow_w4");
-    println!("dataflow_exec/speedup_vs_streaming_w4      {speedup:.2}x");
 
     // Hand-rolled JSON: names and floats only, nothing needing escaping.
     let mut json = String::new();
@@ -246,10 +206,7 @@ fn main() {
             row.vm_hwm_kb
         ));
     }
-    json.push_str("  },\n");
-    json.push_str(&format!(
-        "  \"dataflow_w4_speedup_vs_streaming_w4\": {speedup:.3}\n"
-    ));
+    json.push_str("  }\n");
     json.push_str("}\n");
 
     let out = std::env::var("KQ_BENCH_OUT")

@@ -1,28 +1,27 @@
 //! Early-exit cancellation versus full consumption.
 //!
 //! The corpus's `… | head -n 1`-shaped pipelines consume a prefix of
-//! their stream; every executor except streaming still pays for the whole
-//! input. This bench pins the win on a `cat big | grep needle | head -n 1`
-//! pipeline whose needle sits on line one:
+//! their stream; the static executor still pays for the whole input. This
+//! bench pins the win on a `cat big | grep needle | head -n 1` pipeline
+//! whose needle sits on line one:
 //!
-//! * `streaming_early_exit` — the bounded consumer's demand token cancels
-//!   the feeder and the grep pool after O(first match) bytes;
-//! * `streaming_full_scan` — the same upstream terminated by `wc -l`
+//! * `dataflow_early_exit` — the satisfied bounded consumer cancels the
+//!   split and the grep node after O(first match) bytes;
+//! * `dataflow_full_scan` — the same upstream terminated by `wc -l`
 //!   (which must read everything), so the same executor does the same
-//!   per-byte work *without* a cancellation: the baseline for what the
-//!   demand token saves (mirrors the CI out-of-core comparison);
-//! * `chunked_full` — the chunked executor, which always reads everything.
+//!   per-byte work *without* a cancellation: the baseline for what early
+//!   exit saves (mirrors the CI out-of-core comparison);
+//! * `static_full` — the static executor, which always reads everything.
 //!
 //! Input defaults to 16 MiB (`KQ_EARLY_EXIT_BENCH_KB` overrides;
 //! `KQ_BENCH_QUICK=1` shrinks to 1 MiB for the CI smoke run).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use kq_coreutils::ExecContext;
-use kq_pipeline::chunked::{run_chunked, ChunkedOptions};
-use kq_pipeline::exec::run_serial;
+use kq_pipeline::exec::{run_parallel, run_serial};
 use kq_pipeline::parse::parse_script;
 use kq_pipeline::plan::Planner;
-use kq_pipeline::streaming::{run_streaming, StreamingOptions};
+use kq_pipeline::{run_dataflow, ChunkSizing, DataflowOptions, QueueCredit};
 use kq_synth::SynthesisConfig;
 use std::collections::HashMap;
 use std::hint::black_box;
@@ -67,15 +66,15 @@ fn bench_early_exit(c: &mut Criterion) {
     // Correctness guard before timing anything.
     let serial = run_serial(&bounded, &ctx).unwrap();
     assert_eq!(serial.output, "needle alpha first line\n");
-    let sopts = StreamingOptions {
+    let opts = DataflowOptions {
         workers: 2,
-        chunk_bytes: 128 * 1024,
-        queue_depth: 4,
+        chunk: ChunkSizing::Fixed(128 * 1024),
+        queue: QueueCredit::Fixed(4),
         fuse_streamable: true,
         spill: None,
     };
     assert_eq!(
-        run_streaming(&bounded, &bounded_plan, &ctx, &sopts)
+        run_dataflow(&bounded, &bounded_plan, &ctx, &opts)
             .unwrap()
             .output,
         serial.output
@@ -83,26 +82,21 @@ fn bench_early_exit(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("early_exit");
     group.sample_size(10);
-    group.bench_function("streaming_early_exit", |b| {
+    group.bench_function("dataflow_early_exit", |b| {
         b.iter(|| {
-            let r = run_streaming(black_box(&bounded), &bounded_plan, &ctx, &sopts).unwrap();
+            let r = run_dataflow(black_box(&bounded), &bounded_plan, &ctx, &opts).unwrap();
             r.output.len()
         })
     });
-    group.bench_function("streaming_full_scan", |b| {
+    group.bench_function("dataflow_full_scan", |b| {
         b.iter(|| {
-            let r = run_streaming(black_box(&unbounded), &unbounded_plan, &ctx, &sopts).unwrap();
+            let r = run_dataflow(black_box(&unbounded), &unbounded_plan, &ctx, &opts).unwrap();
             r.output.len()
         })
     });
-    let copts = ChunkedOptions {
-        workers: 2,
-        chunk_bytes: 128 * 1024,
-        honor_elimination: true,
-    };
-    group.bench_function("chunked_full", |b| {
+    group.bench_function("static_full", |b| {
         b.iter(|| {
-            let r = run_chunked(black_box(&bounded), &bounded_plan, &ctx, &copts).unwrap();
+            let r = run_parallel(black_box(&bounded), &bounded_plan, &ctx, 2, true).unwrap();
             r.output.len()
         })
     });

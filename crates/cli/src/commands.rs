@@ -94,7 +94,7 @@ USAGE:
         the output/input shrink ratio, in (0, 1], below which a
         rerun-combiner stage still parallelizes (default 0.5).
     kumquat run <script|file> [--workers N] [--no-opt] [--var ...]
-                               [--exec static|chunked|streaming|dataflow]
+                               [--exec dataflow|static]
                                [--chunk-kb N|auto] [--queue-depth N|auto]
                                [--mmap auto|on|off] [--no-verify]
                                [--synth-workers N] [--combiner-cache FILE]
@@ -108,18 +108,19 @@ USAGE:
         by the script are read from the host filesystem — memory-mapped
         into the data plane when large (--mmap auto, the default; 'on'
         and 'off' force one backing), so multi-GB inputs are never copied
-        into the heap. The chunked executor load-balances many small
-        chunks over the worker pool; the streaming executor additionally
-        pipelines stages through bounded chunk queues so a stage starts
-        before its predecessor finishes, and cancels upstream work early
-        once a prefix-bounded consumer (head -n k, sed kq) is satisfied
-        (reported as 'early-exit: ... after M chunk(s)'). The dataflow
-        executor — the default — compiles every statement to a dataflow
-        graph and runs the whole script on one shared work-stealing pool
-        of exactly --workers threads: independent statements overlap,
-        dependent ones (linked by > file redirects) wait, and early exit
-        also drops chunks already queued upstream. (--executor is
-        accepted as an alias for --exec.) Under --exec dataflow the two
+        into the heap. The default executor, --exec dataflow, compiles
+        every statement to a dataflow graph and runs the whole script on
+        one shared work-stealing pool of exactly --workers threads. Stages
+        are pipelined through bounded chunk queues, so a stage starts
+        before its predecessor finishes. Independent statements overlap;
+        dependent ones (linked by > file redirects) wait. Once a
+        prefix-bounded consumer (head -n k, sed kq) is satisfied, upstream
+        work is cancelled and queued chunks are dropped (reported as
+        'early-exit: ... after M chunk(s)'). --exec static runs the
+        paper's executor instead: every parallel stage splits its input
+        into N pieces, runs them on N threads, and combines the outputs
+        before the next stage starts. (--executor is accepted as an alias
+        for --exec.) Under --exec dataflow the two
         capacity knobs accept 'auto': --chunk-kb auto derives each
         statement's chunk size from its input size and the worker count,
         then coarsens barrier-feeding chunks online so sort-style folds
@@ -127,9 +128,9 @@ USAGE:
         the default credit and rebalances credit from starved queues to
         gated ones from live stall telemetry. Adaptation never changes
         output bytes — only chunk boundaries and scheduling — and is
-        reported in an 'adaptive: ...' note. --spill-mb N
-        (streaming/dataflow only) bounds
-        the memory of barrier folds (sort and friends): once a fold's
+        reported in an 'adaptive: ...' note. --spill-mb N (requires
+        --exec dataflow) bounds the memory of barrier folds (sort and
+        friends): once a fold's
         resident sorted runs would exceed N MiB, further runs are written
         to temp files and mapped back for the final k-way merge, so a
         sort's peak memory stays O(budget + merge window) instead of
@@ -437,6 +438,11 @@ fn cmd_run(args: &ParsedArgs) -> Result<CliOutput, String> {
         .opt("exec")
         .or_else(|| args.opt("executor"))
         .unwrap_or("dataflow");
+    if !matches!(executor, "dataflow" | "static") {
+        return Err(format!(
+            "--exec must be 'dataflow' or 'static', got {executor:?}"
+        ));
+    }
     let workers = args.opt_parse_nonzero("workers", 4)?;
     let chunk_kb = args.opt_parse_nonzero_or_auto("chunk-kb", 64)?;
     let queue_depth = args.opt_parse_nonzero_or_auto("queue-depth", 4)?;
@@ -448,11 +454,9 @@ fn cmd_run(args: &ParsedArgs) -> Result<CliOutput, String> {
             return Err("--queue-depth auto requires --exec dataflow".into());
         }
     }
-    let fixed_chunk_bytes = |kb: Option<usize>| kb.unwrap_or(64) * 1024;
-    let fixed_depth = |d: Option<usize>| d.unwrap_or(4);
     let honor = !args.flag("no-opt");
-    // --spill-mb turns on bounded-memory barrier folds (streaming and
-    // dataflow executors): sorted runs past the budget go to temp files
+    // --spill-mb turns on bounded-memory barrier folds (dataflow
+    // executor): sorted runs past the budget go to temp files
     // and come back memory-mapped for the final merge. Off by default —
     // spilling trades disk I/O for resident memory. --spill-dir overrides
     // the run-file directory (default: the system temp dir) but does not
@@ -464,8 +468,8 @@ fn cmd_run(args: &ParsedArgs) -> Result<CliOutput, String> {
             dir: args.opt("spill-dir").map(std::path::PathBuf::from),
         }),
     };
-    if spill.is_some() && !matches!(executor, "streaming" | "dataflow") {
-        return Err("--spill-mb requires --exec streaming or --exec dataflow".into());
+    if spill.is_some() && executor != "dataflow" {
+        return Err("--spill-mb requires --exec dataflow".into());
     }
     // The trace session wraps planning, the serial oracle, and the
     // parallel run: --trace-out captures every layer's spans, --metrics
@@ -486,27 +490,8 @@ fn cmd_run(args: &ParsedArgs) -> Result<CliOutput, String> {
     let parallel = match executor {
         "static" => run_parallel(&planned.script, &planned.plan, &planned.ctx, workers, honor)
             .map_err(|e| e.to_string())?,
-        "chunked" => {
-            let opts = kq_pipeline::chunked::ChunkedOptions {
-                workers,
-                chunk_bytes: fixed_chunk_bytes(chunk_kb),
-                honor_elimination: honor,
-            };
-            kq_pipeline::chunked::run_chunked(&planned.script, &planned.plan, &planned.ctx, &opts)
-                .map_err(|e| e.to_string())?
-        }
-        "streaming" => {
-            let opts = kq_pipeline::StreamingOptions {
-                workers,
-                chunk_bytes: fixed_chunk_bytes(chunk_kb),
-                queue_depth: fixed_depth(queue_depth),
-                fuse_streamable: honor,
-                spill: spill.clone(),
-            };
-            kq_pipeline::run_streaming(&planned.script, &planned.plan, &planned.ctx, &opts)
-                .map_err(|e| e.to_string())?
-        }
-        "dataflow" => {
+        // "dataflow", the only other value the check above lets through.
+        _ => {
             let opts = kq_pipeline::DataflowOptions {
                 workers,
                 chunk: match chunk_kb {
@@ -518,15 +503,10 @@ fn cmd_run(args: &ParsedArgs) -> Result<CliOutput, String> {
                     None => kq_pipeline::QueueCredit::Auto,
                 },
                 fuse_streamable: honor,
-                spill: spill.clone(),
+                spill,
             };
             kq_pipeline::run_dataflow(&planned.script, &planned.plan, &planned.ctx, &opts)
                 .map_err(|e| e.to_string())?
-        }
-        other => {
-            return Err(format!(
-                "--exec must be 'static', 'chunked', 'streaming', or 'dataflow', got {other:?}"
-            ))
         }
     };
     let mut notes = planned.notes;
@@ -866,55 +846,16 @@ mod tests {
     }
 
     #[test]
-    fn run_with_chunked_executor() {
-        let dir = std::env::temp_dir().join(format!("kq-cli-chunk-{}", std::process::id()));
+    fn run_with_static_executor() {
+        let dir = std::env::temp_dir().join(format!("kq-cli-static-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let input = dir.join("w.txt");
         std::fs::write(&input, "b x\na y\nb z\n".repeat(50)).unwrap();
         let script = format!("cat {} | cut -d ' ' -f 1 | sort | uniq -c", input.display());
-        let run = call(&[
-            "run",
-            &script,
-            "--workers",
-            "3",
-            "--executor",
-            "chunked",
-            "--chunk-kb",
-            "1",
-        ])
-        .unwrap();
+        let run = call(&["run", &script, "--workers", "3", "--executor", "static"]).unwrap();
         assert!(run.stdout.contains(" a\n"), "got: {}", run.stdout);
-        assert!(run.notes.iter().any(|n| n.contains("chunked")));
-        assert!(call(&["run", &script, "--executor", "warp"]).is_err());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn run_with_streaming_executor() {
-        let dir = std::env::temp_dir().join(format!("kq-cli-stream-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let input = dir.join("w.txt");
-        std::fs::write(&input, "b x\na y\nb z\n".repeat(60)).unwrap();
-        let script = format!(
-            "cat {} | cut -d ' ' -f 1 | sort | uniq -c | sort -rn",
-            input.display()
-        );
-        let run = call(&[
-            "run",
-            &script,
-            "--workers",
-            "2",
-            "--exec",
-            "streaming",
-            "--chunk-kb",
-            "1",
-            "--queue-depth",
-            "2",
-        ])
-        .unwrap();
-        assert!(run.stdout.contains(" b\n"), "got: {}", run.stdout);
         assert!(
-            run.notes.iter().any(|n| n.contains("streaming")),
+            run.notes.iter().any(|n| n.contains("verified: static")),
             "notes: {:?}",
             run.notes
         );
@@ -922,39 +863,17 @@ mod tests {
     }
 
     #[test]
-    fn streaming_head_pipeline_reports_early_exit() {
-        let dir = std::env::temp_dir().join(format!("kq-cli-early-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let input = dir.join("w.txt");
-        std::fs::write(&input, "b x\na y\nb z\nc w\n".repeat(4000)).unwrap();
-        let script = format!("cat {} | grep b | head -n 1", input.display());
-        let run = call(&[
-            "run",
-            &script,
-            "--exec",
-            "streaming",
-            "--chunk-kb",
-            "1",
-            "--workers",
-            "2",
-        ])
-        .unwrap();
-        assert_eq!(run.stdout, "b x\n");
-        assert!(
-            run.notes
-                .iter()
-                .any(|n| n.starts_with("early-exit:") && n.contains("head -n 1")),
-            "notes: {:?}",
-            run.notes
-        );
-        // The other executors read everything: no early-exit note.
-        let chunked = call(&["run", &script, "--exec", "chunked"]).unwrap();
-        assert!(
-            !chunked.notes.iter().any(|n| n.starts_with("early-exit:")),
-            "notes: {:?}",
-            chunked.notes
-        );
-        std::fs::remove_dir_all(&dir).ok();
+    fn unknown_executors_are_rejected_naming_both() {
+        for retired in ["streaming", "chunked", "warp"] {
+            let err = call(&["run", "cat x | sort", "--exec", retired]).unwrap_err();
+            assert!(
+                err.contains("--exec must be 'dataflow' or 'static'"),
+                "{err}"
+            );
+        }
+        let err =
+            call(&["run", "cat x | sort", "--exec", "static", "--spill-mb", "8"]).unwrap_err();
+        assert!(err.contains("--spill-mb requires --exec dataflow"), "{err}");
     }
 
     #[test]
@@ -1020,6 +939,14 @@ mod tests {
                 .any(|n| n.starts_with("early-exit:") && n.contains("head -n 1")),
             "notes: {:?}",
             run.notes
+        );
+        // The static executor reads everything: no early-exit note.
+        let full = call(&["run", &script, "--exec", "static"]).unwrap();
+        assert_eq!(full.stdout, run.stdout);
+        assert!(
+            !full.notes.iter().any(|n| n.starts_with("early-exit:")),
+            "notes: {:?}",
+            full.notes
         );
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1088,12 +1015,12 @@ mod tests {
     #[test]
     fn auto_knobs_require_the_dataflow_executor() {
         let s = "cat x | sort";
-        let err = call(&["run", s, "--exec", "streaming", "--chunk-kb", "auto"]).unwrap_err();
+        let err = call(&["run", s, "--exec", "static", "--chunk-kb", "auto"]).unwrap_err();
         assert!(
             err.contains("--chunk-kb auto requires --exec dataflow"),
             "{err}"
         );
-        let err = call(&["run", s, "--exec", "chunked", "--queue-depth", "auto"]).unwrap_err();
+        let err = call(&["run", s, "--exec", "static", "--queue-depth", "auto"]).unwrap_err();
         assert!(
             err.contains("--queue-depth auto requires --exec dataflow"),
             "{err}"
@@ -1132,7 +1059,7 @@ mod tests {
         let input = dir.join("m.txt");
         std::fs::write(&input, "b x\na y\nb z\nc w\n".repeat(200)).unwrap();
         let script = format!("cat {} | cut -d ' ' -f 1 | sort | uniq -c", input.display());
-        let mapped = call(&["run", &script, "--mmap", "on", "--exec", "streaming"]).unwrap();
+        let mapped = call(&["run", &script, "--mmap", "on", "--exec", "dataflow"]).unwrap();
         let heap = call(&["run", &script, "--mmap", "off"]).unwrap();
         assert_eq!(mapped.stdout, heap.stdout, "backings must be invisible");
         assert!(
@@ -1156,7 +1083,7 @@ mod tests {
         std::fs::write(&input, "b x\na y\n".repeat(50)).unwrap();
         let script = format!("cat {} | cut -d ' ' -f 1 | sort", input.display());
         let verified = call(&["run", &script]).unwrap();
-        let unverified = call(&["run", &script, "--no-verify", "--exec", "streaming"]).unwrap();
+        let unverified = call(&["run", &script, "--no-verify", "--exec", "dataflow"]).unwrap();
         assert_eq!(verified.stdout, unverified.stdout);
         assert!(unverified.notes.iter().any(|n| n.contains("unverified")));
         assert!(!unverified.notes.iter().any(|n| n.contains("equals serial")));
@@ -1276,7 +1203,7 @@ mod tests {
             "--combiner-cache",
             &cache_arg,
             "--exec",
-            "streaming",
+            "static",
         ])
         .unwrap();
         assert!(

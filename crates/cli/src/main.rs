@@ -3,6 +3,11 @@
 use std::io::Write as _;
 
 fn main() {
+    // Return freed multi-MiB fold buffers to the kernel instead of
+    // keeping them in per-thread malloc arenas (see the function docs):
+    // otherwise retained heap pushes a `--spill-mb` run's peak RSS far
+    // past its budget.
+    kq_io::pin_mmap_threshold();
     let args: Vec<String> = std::env::args().skip(1).collect();
     match kq_cli::run_cli(&args) {
         Ok(output) => {

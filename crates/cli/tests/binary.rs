@@ -57,6 +57,20 @@ fn run_streams_pipeline_output_and_notes_to_stderr() {
 }
 
 #[test]
+fn retired_executors_exit_nonzero_naming_the_remaining_two() {
+    let out = kumquat()
+        .args(["run", "cat x | sort", "--exec", "streaming"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("--exec must be 'dataflow' or 'static', got \"streaming\""),
+        "stderr: {stderr}"
+    );
+}
+
+#[test]
 fn concurrent_planners_share_one_combiner_cache_without_losing_entries() {
     // Two *processes* plan different scripts against the same on-disk
     // combiner cache at the same time. Both load a cold store; without

@@ -147,8 +147,8 @@ fn combine_pair(
 /// Incremental k-way combining: substreams are folded *as they arrive*
 /// instead of being gathered first.
 ///
-/// [`combine_all`] needs the complete piece list, which forces the
-/// streaming executor to buffer a stage's whole output before combining —
+/// [`combine_all`] needs the complete piece list, which forces a
+/// pipelined executor to buffer a stage's whole output before combining —
 /// exactly the barrier this type removes. Pieces are pushed in stream
 /// order and the combine work happens inside [`push`](IncrementalFold::push),
 /// overlapping with whatever produces the pieces; [`finish`](IncrementalFold::finish)

@@ -1,13 +1,11 @@
 //! Dataflow-graph IR for the work-stealing executor.
 //!
-//! [`crate::plan::PlannedStatement::stream_segments`] describes a statement
-//! as a list of segment kinds that the streaming executor interprets with
-//! dedicated threads. This module reifies that description into an explicit
-//! graph the shared scheduler ([`crate::scheduler`]) can execute: a
-//! statement becomes a linear chain of [`DataflowNode`]s connected by
-//! *edges* — bounded queues of line-aligned [`kq_stream::Bytes`] chunks —
-//! where edge `i` carries node `i`'s output into node `i + 1` and the last
-//! node's edge drains into the statement sink.
+//! A planned statement becomes an explicit graph the shared scheduler
+//! ([`crate::scheduler`]) executes: a linear chain of [`DataflowNode`]s
+//! connected by *edges* — bounded queues of line-aligned
+//! [`kq_stream::Bytes`] chunks — where edge `i` carries node `i`'s output
+//! into node `i + 1` and the last node's edge drains into the statement
+//! sink.
 //!
 //! # Node semantics
 //!
@@ -29,9 +27,7 @@
 //! becomes a single node piping each chunk through all three commands).
 //! The rewrite is semantics-preserving by the chunk-local property — each
 //! stage's combiner is plain concat over newline-terminated chunk outputs,
-//! so per-chunk composition commutes with concatenation — and produces
-//! exactly the shape [`stream_segments`]`(true)` describes, but as a
-//! mechanical rewrite instead of a special case in segment planning.
+//! so per-chunk composition commutes with concatenation.
 //!
 //! # Cancellation propagation
 //!
@@ -39,11 +35,9 @@
 //! [`NodeKind::BoundedConsumer`] at position `b` meets its `lines` demand
 //! before its input closes, the scheduler marks nodes `0..b` cancelled and
 //! **clears** every edge feeding them *and* the bounded node's own input
-//! edge — chunks already queued are dropped, not processed, which is the
-//! piece of work the channel-based streaming executor could not reclaim
-//! (its pool workers drain whatever was already buffered before noticing
-//! the teardown). In-flight tasks at cancelled nodes discard their output
-//! when they complete. The propagation matrix:
+//! edge — chunks already queued are dropped, not processed. In-flight
+//! tasks at cancelled nodes discard their output when they complete. The
+//! propagation matrix:
 //!
 //! | event | upstream nodes | queued chunks | downstream nodes | statement result |
 //! |---|---|---|---|---|
@@ -53,15 +47,13 @@
 //!
 //! # Demand propagation
 //!
-//! [`DataflowNode::eager_flush`] mirrors the streaming executor's rule: a
-//! `StageWorker` whose downstream chain reaches a bounded consumer through
-//! chunk-local nodes only ships complete lines immediately instead of
-//! re-normalizing to the chunk-size target, so a sparse stage (`grep` with
-//! one match) cannot sit on the very lines that would satisfy the bound.
-//!
-//! [`stream_segments`]: crate::plan::PlannedStatement::stream_segments
+//! [`DataflowNode::eager_flush`]: a `StageWorker` whose downstream chain
+//! reaches a bounded consumer through chunk-local nodes only ships
+//! complete lines immediately instead of re-normalizing to the
+//! chunk-size target, so a sparse stage (`grep` with one match) cannot sit
+//! on the very lines that would satisfy the bound.
 
-use crate::plan::{PlannedStatement, StreamSegmentKind};
+use crate::plan::{PlannedStage, PlannedStatement, StageMode};
 use std::ops::Range;
 
 /// What a [`NodeKind::Fold`] node does with its gathered input.
@@ -99,6 +91,34 @@ pub enum NodeKind {
     },
 }
 
+impl NodeKind {
+    /// The node one planned stage becomes before fusion:
+    ///
+    /// * a prefix-bounded stage (`head -n k`, `sed kq` — see
+    ///   [`PlannedStage::line_bound`]) is a [`NodeKind::BoundedConsumer`]
+    ///   whatever its mode (checked first: a prefix-bounded command is
+    ///   never chunk-local anyway);
+    /// * a [`streamable`](PlannedStage::streamable) stage is a
+    ///   [`NodeKind::StageWorker`];
+    /// * any other parallel stage (`sort`, `uniq -c`, `wc`, …) folds its
+    ///   chunk outputs through its combiner ([`FoldMode::Combine`]);
+    /// * a sequential stage gathers its input and runs once
+    ///   ([`FoldMode::Gather`]).
+    pub fn for_stage(stage: &PlannedStage) -> NodeKind {
+        if let Some(lines) = stage.line_bound {
+            NodeKind::BoundedConsumer { lines }
+        } else if stage.streamable {
+            NodeKind::StageWorker
+        } else {
+            let mode = match stage.mode {
+                StageMode::Sequential => FoldMode::Gather,
+                StageMode::Parallel { .. } => FoldMode::Combine,
+            };
+            NodeKind::Fold { mode }
+        }
+    }
+}
+
 /// One node of a statement's dataflow graph.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DataflowNode {
@@ -127,31 +147,17 @@ impl DataflowGraph {
     ///
     /// The graph is assembled unfused — one node per stage — and, with
     /// `fuse_streamable`, adjacent [`NodeKind::StageWorker`] nodes are then
-    /// merged by the [fusion rewrite](Self::fuse_streamable). The resulting
-    /// node list (ignoring the leading `Split`) corresponds one-to-one with
-    /// [`stream_segments`]`(fuse_streamable)`.
-    ///
-    /// [`stream_segments`]: crate::plan::PlannedStatement::stream_segments
+    /// merged by the [fusion rewrite](Self::fuse_streamable).
     pub fn build(planned: &PlannedStatement, fuse_streamable: bool) -> DataflowGraph {
         let mut nodes = vec![DataflowNode {
             kind: NodeKind::Split,
             stages: 0..0,
             eager_flush: false,
         }];
-        for segment in planned.stream_segments(false) {
-            let kind = match segment.kind {
-                StreamSegmentKind::Streaming => NodeKind::StageWorker,
-                StreamSegmentKind::Barrier => NodeKind::Fold {
-                    mode: FoldMode::Combine,
-                },
-                StreamSegmentKind::Sequential => NodeKind::Fold {
-                    mode: FoldMode::Gather,
-                },
-                StreamSegmentKind::Bounded { lines } => NodeKind::BoundedConsumer { lines },
-            };
+        for (idx, stage) in planned.stages.iter().enumerate() {
             nodes.push(DataflowNode {
-                kind,
-                stages: segment.stages,
+                kind: NodeKind::for_stage(stage),
+                stages: idx..idx + 1,
                 eager_flush: false,
             });
         }
@@ -307,7 +313,7 @@ mod tests {
     }
 
     #[test]
-    fn graph_mirrors_stream_segments() {
+    fn fused_graph_isolates_barriers() {
         let g = graph(
             "cat /in.txt | tr -cs A-Za-z '\\n' | tr A-Z a-z | grep o | sort | uniq -c | sort -rn",
             true,
@@ -382,6 +388,12 @@ mod tests {
         assert_eq!(g.nodes[2].kind, NodeKind::BoundedConsumer { lines: 2 });
         // A bounded node never fuses into a neighboring streamable run.
         assert_eq!(g.nodes.len(), 4);
+        // `head -n 1` plans parallel (first combiner) and `sed 100q` with a
+        // rerun combiner: both become bounded consumers regardless.
+        let g = graph("cat /in.txt | grep fox | head -n 1", true);
+        assert_eq!(g.nodes[2].kind, NodeKind::BoundedConsumer { lines: 1 });
+        let g = graph("cat /in.txt | sed 100q | sort", true);
+        assert_eq!(g.nodes[1].kind, NodeKind::BoundedConsumer { lines: 100 });
     }
 
     #[test]

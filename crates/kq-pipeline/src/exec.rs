@@ -1,4 +1,5 @@
-//! Script executors.
+//! The serial and static executors, and the timing records every
+//! executor shares.
 //!
 //! * [`run_serial`] — the paper's measurement infrastructure: every stage
 //!   runs to completion before the next starts, outputs buffered between
@@ -11,7 +12,10 @@
 //!
 //! Both executors record a [`TimingLog`] of per-piece wall-clock durations;
 //! the [`crate::sim`] scheduler replays those measurements on virtual
-//! workers to produce the performance-table numbers.
+//! workers to produce the performance-table numbers. The production
+//! executor, [`run_dataflow`](crate::scheduler::run_dataflow), records
+//! the same log plus the queue, spill, early-exit and adaptive telemetry
+//! below.
 
 use crate::parse::{InputSource, Script, Statement};
 use crate::plan::{PlannedScript, StageMode};
@@ -43,17 +47,17 @@ pub struct StageTiming {
     /// difference as the combiner's shrink).
     pub bytes_out_pieces: usize,
     /// Early exit: set when this stage was a prefix-bounded consumer
-    /// (`head -n k`, `sed kq`) under the streaming executor and satisfied
-    /// its demand without waiting for end-of-input — it released its
-    /// receiver (the demand token), so any upstream producer still running
-    /// unwound without draining the rest of the stream. `None` for stages
-    /// that read their whole input (every stage under the other
-    /// executors). The CLI reports these as
+    /// (`head -n k`, `sed kq`) under the dataflow executor and satisfied
+    /// its demand without waiting for end-of-input — it cancelled every
+    /// node upstream and dropped their queued chunks, so no producer
+    /// drained the rest of the stream. `None` for stages that read their
+    /// whole input (every stage under the serial and static executors).
+    /// The CLI reports these as
     /// `early-exit: statement N stage M ... after K chunk(s)`.
     pub early_exit: Option<EarlyExit>,
-    /// Queue-stall and occupancy counters for executors that move chunks
-    /// through queues (streaming, dataflow). `None` under the batch
-    /// executors, which have no inter-stage queues to stall on.
+    /// Queue-stall and occupancy counters of the dataflow executor, which
+    /// moves chunks through queues. `None` under the batch executors,
+    /// which have no inter-stage queues to stall on.
     pub queue: Option<QueueTelemetry>,
     /// Spill activity for barrier folds run under a spill budget
     /// (`--spill-mb`): `None` when no budget was configured for the stage
@@ -89,29 +93,25 @@ impl SpillTelemetry {
 }
 
 /// Per-node queue telemetry — the measurable cost of moving chunks
-/// between stages, feeding the future adaptive-tuning plane.
+/// between stages, feeding the adaptive-tuning plane.
 ///
-/// Under the streaming executor the stalls are literal blocking time in
-/// channel `send`/`recv`; under the dataflow scheduler (which never
-/// blocks a worker thread on a queue) they are the wall-clock intervals
-/// during which the node *wanted* to make progress but could not — gated
-/// on a full downstream edge (`send_stall`) or starved on an empty input
-/// edge (`recv_stall`) — measured from the moment a task observed the
-/// condition to the moment a later task found it cleared.
+/// The dataflow scheduler never blocks a worker thread on a queue, so the
+/// stalls are the wall-clock intervals during which the node *wanted* to
+/// make progress but could not — gated on a full downstream edge
+/// (`send_stall`) or starved on an empty input edge (`recv_stall`) —
+/// measured from the moment a task observed the condition to the moment a
+/// later task found it cleared.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueueTelemetry {
-    /// Time the node spent unable to forward output: blocked in a channel
-    /// `send` (streaming) or gated on a full downstream edge (dataflow).
+    /// Time the node spent gated on a full downstream edge.
     pub send_stall: Duration,
-    /// Time the node spent waiting for input: blocked in a channel `recv`
-    /// (streaming) or starved on an empty input edge (dataflow).
+    /// Time the node spent starved on an empty input edge.
     pub recv_stall: Duration,
     /// High-water mark of chunks queued at this node: the input-edge
-    /// length observed when a task claimed a chunk (dataflow), or the
-    /// bounded-channel occupancy observed at each send/recv (streaming).
+    /// length observed when a task claimed a chunk.
     pub max_queued: usize,
-    /// Scheduler tasks executed for this node (dataflow), or chunks
-    /// received (streaming) — the denominator for the stall averages.
+    /// Scheduler tasks executed for this node — the denominator for the
+    /// stall averages.
     pub tasks: usize,
 }
 
@@ -119,7 +119,7 @@ pub struct QueueTelemetry {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EarlyExit {
     /// Index of the bounded stage within its statement (pipeline
-    /// position, not the segment-timing position — chunk-local stages
+    /// position, not the node-timing position — chunk-local stages
     /// fuse, so the two can differ).
     pub stage: usize,
     /// Input chunks consumed before the demand was met.

@@ -4,7 +4,8 @@
 //! script into pipelines ([`parse`]), synthesize a combiner per stage and
 //! decide which stages parallelize ([`plan`] — including the Theorem 5
 //! intermediate-combiner elimination and the §2 rerun-cost heuristic),
-//! execute serially or with `w`-way data parallelism ([`exec`]), and
+//! execute on one work-stealing dataflow pool ([`scheduler`]), serially,
+//! or with the paper's static `w`-way data parallelism ([`exec`]), and
 //! compute the virtual wall-clock times the paper's performance tables
 //! report ([`sim`] — a measured-cost scheduler replaying per-piece
 //! durations, the honest substitute for the paper's 80-core testbed on a
@@ -19,7 +20,7 @@
 //!   (multi-file inputs gather through a [`kq_stream::Rope`], one memcpy
 //!   total);
 //! * splitting a stage input into `w` substreams ([`exec::run_parallel`])
-//!   or into load-balanced chunks ([`chunked::run_chunked`]) allocates
+//!   or into line-aligned chunks ([`scheduler::run_dataflow`]) allocates
 //!   O(pieces): each piece is a slice of the parent buffer, and worker
 //!   threads receive it as an `Arc` clone;
 //! * a stage whose combiner is eliminated (Theorem 5) forwards its
@@ -34,40 +35,36 @@
 //!
 //! # The executor matrix
 //!
-//! Five executors share the data plane and produce byte-identical output
-//! (asserted across the whole corpus by `tests/streaming_differential.rs`
-//! and `tests/dataflow_differential.rs`); they differ in how work is
-//! scheduled:
+//! Three executors share the data plane and produce byte-identical output
+//! (asserted across the whole corpus by
+//! `tests/executor_differential.rs`, `tests/dataflow_differential.rs` and
+//! the seeded pipeline fuzzer `tests/exec_fuzz.rs`); each has one job:
 //!
-//! | executor | parallelism | barriers | wins when |
+//! | executor | parallelism | barriers | role |
 //! |---|---|---|---|
-//! | [`exec::run_serial`] | none | every stage | correctness baseline; tiny inputs |
-//! | [`exec::run_parallel`] | `w` static pieces per stage | every segment | uniform per-line cost (the paper's executor) |
-//! | [`chunked::run_chunked`] | many chunks over a `w`-thread pool | every segment | skewed per-line cost (dynamic balancing) |
-//! | [`streaming::run_streaming`] | pool per segment, segments pipelined | only where a stage truly needs its whole input | multi-segment pipelines: chunk-local stages (`grep`/`tr`/`cut`) flow chunks onward immediately, and barrier stages (`sort`, `uniq -c`) fold their combiner *while upstream still computes* |
-//! | [`scheduler::run_dataflow`] | one work-stealing pool of `w` threads for the *whole script* | graph properties, not thread boundaries | multi-statement scripts: every statement's [`dataflow`] graph shares the same fixed pool (no per-statement spawn/teardown), independent statements overlap, and early exit tears down queued upstream work |
+//! | [`scheduler::run_dataflow`] | one work-stealing pool of `w` threads for the *whole script* | only where a stage truly needs its whole input | production (the CLI default): every statement's [`dataflow`] graph shares the same fixed pool, chunk-local stages (`grep`/`tr`/`cut`) flow chunks onward immediately, barrier stages (`sort`, `uniq -c`) fold their combiner *while upstream still computes*, independent statements overlap, early exit tears down queued upstream work, and barrier folds can spill |
+//! | [`exec::run_serial`] | none | every stage | the correctness oracle every parallel run is checked against |
+//! | [`exec::run_parallel`] | `w` static pieces per stage | every stage with a combiner | the paper's executor; [`sim`] and [`dist`] replay its per-piece timings for the paper's tables |
 //!
-//! The streaming executor's segment classification (chunk-local versus
-//! barrier versus sequential) lives in
-//! [`plan::PlannedStatement::stream_segments`]; the dataflow executor
-//! reifies the same classification as a graph IR ([`dataflow`]) and
-//! executes it with a shared scheduler ([`scheduler`]).
-//! `crates/bench/benches/streaming_exec.rs` measures streaming against
-//! chunked on a multi-stage pipeline, and
-//! `crates/bench/benches/dataflow_exec.rs` measures dataflow against
-//! streaming on a multi-statement script.
+//! The dataflow executor classifies each planned stage (chunk-local,
+//! barrier, sequential, or prefix-bounded) as a graph node
+//! ([`dataflow::NodeKind::for_stage`]) and executes the graph with the
+//! shared scheduler ([`scheduler`]).
+//! `crates/bench/benches/dataflow_exec.rs` measures it against serial on
+//! a multi-statement script.
 //!
 //! # Fold finalization protocol
 //!
-//! Both pipelined executors fold barrier-stage outputs incrementally, and
-//! both must answer the same question without a central coordinator:
-//! *who runs `finish()` when the last piece lands?* The streaming
-//! executor answers structurally — each barrier has one collector thread,
-//! and end-of-input is its result channel disconnecting. The dataflow
-//! scheduler has no such thread: any pool worker may integrate a fold's
-//! chunk, so finalization is a *claim*: a task that observes
-//! `input closed && inflight == 0 && queue empty` flips the node's phase
-//! to `Running` under the node lock and runs the finish outside it.
+//! The dataflow executor folds barrier-stage outputs incrementally and
+//! must answer one question without a central coordinator: *who runs
+//! `finish()` when the last piece lands?* No thread owns a fold: any pool
+//! worker may integrate a fold's chunk, so finalization is a *claim*: a
+//! task that observes `input closed && inflight == 0 && queue empty`
+//! flips the node's phase to `Running` under the node lock and runs the
+//! finish outside it. A combine fold that no chunk reached (empty input, or an
+//! upstream `grep` that kept nothing) first folds in the command's output
+//! on the empty stream, since the combine of zero pieces is empty but
+//! `wc -l` on nothing prints `0`.
 //!
 //! The protocol's invariant: **every task that pops a chunk or observes
 //! the closed edge re-evaluates the finalization condition after
@@ -86,7 +83,7 @@
 //! A merge-combiner fold normally keeps every sorted run on the heap
 //! until the final k-way merge, so a big `sort`'s peak memory is O(input).
 //! Under a [`kq_dsl::SpillPolicy`] (CLI `--spill-mb`, carried by
-//! [`StreamingOptions::spill`] / [`DataflowOptions::spill`]) each barrier
+//! [`DataflowOptions::spill`]) each barrier
 //! stage derives a per-stage [`kq_dsl::SpillConfig`] and the fold spills:
 //!
 //! 1. runs accumulate on the heap only while their total stays within
@@ -106,8 +103,8 @@
 //!    reports as `spill: ...` notes.
 //!
 //! `tests/spill_differential.rs` pins byte-identity with the serial
-//! oracle under a one-byte budget (every run spills) on both executors,
-//! plus the no-leftover-files property across success, failure, and
+//! oracle under a one-byte budget (every run spills), plus the
+//! no-leftover-files property across success, failure, and
 //! early-exit teardowns; `crates/bench/benches/spill_fold.rs` records
 //! peak RSS for a 256 MiB sort with and without a budget
 //! (`BENCH_spill.json`).
@@ -152,7 +149,7 @@
 //! # The trace plane
 //!
 //! Every executor is instrumented through [`kq_trace`]: node-task spans
-//! (`dataflow`/`streaming`/`chunked`/`static`/`serial` categories), graph
+//! (`dataflow`/`static`/`serial` categories), graph
 //! structure metas, and per-node counters (bytes in/out, tasks,
 //! max-queued, send/recv stall time). Instrumentation is off unless a
 //! `kq_trace::TraceSession` is live — a disabled probe is one relaxed
@@ -190,7 +187,6 @@
 #![warn(missing_docs)]
 
 pub mod cache;
-pub mod chunked;
 pub mod dataflow;
 pub mod dist;
 pub mod exec;
@@ -199,7 +195,6 @@ pub mod parse;
 pub mod plan;
 pub mod scheduler;
 pub mod sim;
-pub mod streaming;
 
 pub use cache::{cache_key, CacheStats, CombinerCache};
 pub use dataflow::{DataflowGraph, DataflowNode, FoldMode, NodeKind};
@@ -209,10 +204,9 @@ pub use exec::{
 };
 pub use lattice::{classify, EffectClass, EffectSet};
 pub use parse::{InputSource, ParseError, Script, SourceSpan, Stage, Statement};
-pub use plan::{PlannedScript, PlannedStage, Planner, StageMode, StreamSegment, StreamSegmentKind};
+pub use plan::{PlannedScript, PlannedStage, Planner, StageMode};
 pub use scheduler::{
     run_dataflow, ChunkSizing, DataflowOptions, QueueCredit, DEFAULT_CHUNK_BYTES,
     DEFAULT_QUEUE_DEPTH,
 };
 pub use sim::{PipelineCosts, SimParams};
-pub use streaming::{run_streaming, StreamingOptions};

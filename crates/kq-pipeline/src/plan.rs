@@ -74,7 +74,7 @@ pub struct PlannedStage {
     pub mode: StageMode,
     /// Chunk-local: the stage's combiner is plain `concat` and its outputs
     /// are newline-terminated streams, so `f(c1 ++ c2) = f(c1) ++ f(c2)`
-    /// for line-aligned chunks and the streaming executor can let chunk
+    /// for line-aligned chunks and the dataflow executor can let chunk
     /// outputs flow to the next stage without ever materializing the whole
     /// substream (`grep`, `tr`, `cut`, per-line `sed` qualify; `sort` and
     /// `uniq -c` do not and must barrier). Always `false` for sequential
@@ -83,9 +83,10 @@ pub struct PlannedStage {
     /// Prefix bound ([`kq_synth::prefix_bound`]): `Some(k)` when the
     /// stage's output depends only on the first `k` complete lines of its
     /// input (`head -n k`, `sed kq`). Such a stage is a *bounded
-    /// consumer*: the streaming executor runs it as a
-    /// [`StreamSegmentKind::Bounded`] segment that stops demanding input
-    /// — and cancels everything upstream — the moment `k` lines exist.
+    /// consumer*: the dataflow executor runs it as a
+    /// [`NodeKind::BoundedConsumer`](crate::dataflow::NodeKind::BoundedConsumer)
+    /// node that stops demanding input — and cancels everything upstream —
+    /// the moment `k` lines exist.
     /// Independent of the sequential/parallel mode decision: running the
     /// command once on a `k`-line prefix is exact under either plan.
     pub line_bound: Option<usize>,
@@ -112,166 +113,6 @@ impl PlannedStatement {
             .filter(|s| s.mode.is_eliminated())
             .count()
     }
-
-    /// Groups the statement's stages into execution segments.
-    ///
-    /// A *segment* is either one sequential stage, or a maximal run of
-    /// parallel stages linked by eliminated intermediate combiners and
-    /// closed by the run's final (combining) stage. With
-    /// `honor_elimination = false`, every parallel stage forms its own
-    /// segment (the paper's unoptimized `u_w` configuration).
-    ///
-    /// Segments are what executors and the shell emitter iterate over:
-    /// split once per segment, pipe the whole command run per piece,
-    /// combine once.
-    pub fn segments(&self, honor_elimination: bool) -> Vec<StageSegment> {
-        let mut out = Vec::new();
-        let mut idx = 0;
-        while idx < self.stages.len() {
-            match &self.stages[idx].mode {
-                StageMode::Sequential => {
-                    out.push(StageSegment::Sequential { stage: idx });
-                    idx += 1;
-                }
-                StageMode::Parallel { .. } => {
-                    let start = idx;
-                    while honor_elimination
-                        && self.stages[idx].mode.is_eliminated()
-                        && idx + 1 < self.stages.len()
-                        && self.stages[idx + 1].mode.is_parallel()
-                    {
-                        idx += 1;
-                    }
-                    out.push(StageSegment::Parallel {
-                        stages: start..idx + 1,
-                    });
-                    idx += 1;
-                }
-            }
-        }
-        out
-    }
-
-    /// Groups the statement's stages into *streaming* segments — the unit
-    /// the bounded-queue streaming executor spawns workers for.
-    ///
-    /// Unlike [`segments`](Self::segments) (which fuses an eliminated run
-    /// *into* its closing combiner stage for split-once/combine-once
-    /// execution), streaming segmentation breaks at every stage that must
-    /// see its whole input:
-    ///
-    /// * a maximal run of consecutive [`streamable`](PlannedStage::streamable)
-    ///   stages forms one [`StreamSegmentKind::Streaming`] segment — chunks
-    ///   are piped through the run's commands and flow straight downstream,
-    ///   no combiner ever runs (the Theorem 5 argument, applied per chunk);
-    /// * a parallel stage that is not chunk-local (`sort`, `uniq -c`,
-    ///   `wc`, …) is a [`StreamSegmentKind::Barrier`]: chunks are still
-    ///   processed as they arrive, but the outputs fold through the
-    ///   stage's combiner and only the combined stream moves on;
-    /// * a sequential stage is [`StreamSegmentKind::Sequential`]: the
-    ///   input is re-gathered, the command runs once, and the output is
-    ///   re-chunked;
-    /// * a prefix-bounded stage (`head -n k`, `sed kq` — see
-    ///   [`PlannedStage::line_bound`]) is [`StreamSegmentKind::Bounded`]
-    ///   whatever its mode: it consumes chunks only until `k` complete
-    ///   lines exist, then cancels everything upstream by dropping its
-    ///   receiver and runs the command once on the prefix.
-    ///
-    /// With `fuse_streamable = false` every streamable stage forms its own
-    /// single-stage streaming segment (more hand-offs, same semantics) —
-    /// the differential suite uses this to exercise the channel plumbing
-    /// harder.
-    pub fn stream_segments(&self, fuse_streamable: bool) -> Vec<StreamSegment> {
-        let mut out = Vec::new();
-        let mut idx = 0;
-        while idx < self.stages.len() {
-            let stage = &self.stages[idx];
-            if let Some(lines) = stage.line_bound {
-                // A bounded consumer gets its own demand-token segment
-                // regardless of mode: the collector stops pulling chunks
-                // (and tears upstream down) once `lines` complete lines
-                // arrived. Checked before streamability — a prefix-bounded
-                // command is never chunk-local anyway (`head`/`sed kq`
-                // synthesize first/rerun combiners, not concat).
-                out.push(StreamSegment {
-                    stages: idx..idx + 1,
-                    kind: StreamSegmentKind::Bounded { lines },
-                });
-                idx += 1;
-            } else if stage.streamable {
-                let start = idx;
-                idx += 1;
-                while fuse_streamable && idx < self.stages.len() && self.stages[idx].streamable {
-                    idx += 1;
-                }
-                out.push(StreamSegment {
-                    stages: start..idx,
-                    kind: StreamSegmentKind::Streaming,
-                });
-            } else {
-                let kind = match &stage.mode {
-                    StageMode::Sequential => StreamSegmentKind::Sequential,
-                    StageMode::Parallel { .. } => StreamSegmentKind::Barrier,
-                };
-                out.push(StreamSegment {
-                    stages: idx..idx + 1,
-                    kind,
-                });
-                idx += 1;
-            }
-        }
-        out
-    }
-}
-
-/// How a [`StreamSegment`] moves data (see
-/// [`PlannedStatement::stream_segments`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StreamSegmentKind {
-    /// Chunk-local stages: chunk outputs flow downstream uncombined.
-    Streaming,
-    /// A parallel stage whose outputs fold through its combiner; only the
-    /// combined stream continues.
-    Barrier,
-    /// A sequential stage: gather, run once, re-chunk.
-    Sequential,
-    /// A prefix-bounded consumer (`head -n k`, `sed kq`): gathers chunks
-    /// only until `lines` complete lines exist, then drops its receiver —
-    /// the demand token — so every upstream producer unwinds without
-    /// draining the rest of the input, runs the command once on the
-    /// prefix, and re-chunks the output downstream. See
-    /// [`PlannedStage::line_bound`].
-    Bounded {
-        /// The stage's prefix bound in complete lines.
-        lines: usize,
-    },
-}
-
-/// One streaming-executor segment: a stage range plus how its data moves.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StreamSegment {
-    /// Stage index range (`start..end`, end exclusive; length 1 except for
-    /// fused streamable runs).
-    pub stages: std::ops::Range<usize>,
-    /// Data movement.
-    pub kind: StreamSegmentKind,
-}
-
-/// One execution segment of a planned statement (see
-/// [`PlannedStatement::segments`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum StageSegment {
-    /// A single stage running on the whole stream.
-    Sequential {
-        /// Stage index within the statement.
-        stage: usize,
-    },
-    /// A run of parallel stages piped per piece, combined once at the end
-    /// (with the last stage's combiner).
-    Parallel {
-        /// Stage index range (`start..end`, end exclusive).
-        stages: std::ops::Range<usize>,
-    },
 }
 
 /// Planning result for a whole script.
@@ -899,30 +740,6 @@ mod tests {
     }
 
     #[test]
-    fn stream_segments_fuse_streamable_runs_and_isolate_barriers() {
-        let (planned, _) =
-            plan("cat $IN | tr -cs A-Za-z '\\n' | tr A-Z a-z | grep o | sort | uniq -c | sort -rn");
-        let st = &planned.statements[0];
-        let segs = st.stream_segments(true);
-        let shape: Vec<(StreamSegmentKind, std::ops::Range<usize>)> =
-            segs.iter().map(|s| (s.kind, s.stages.clone())).collect();
-        assert_eq!(
-            shape,
-            vec![
-                (StreamSegmentKind::Sequential, 0..1), // tr -cs (rerun, no shrink)
-                (StreamSegmentKind::Streaming, 1..3),  // tr | grep fused
-                (StreamSegmentKind::Barrier, 3..4),    // sort
-                (StreamSegmentKind::Barrier, 4..5),    // uniq -c
-                (StreamSegmentKind::Barrier, 5..6),    // sort -rn
-            ]
-        );
-        // Unfused: the streamable run splits into single-stage segments.
-        let unfused = st.stream_segments(false);
-        assert_eq!(unfused.len(), 6);
-        assert!(unfused.iter().all(|s| s.stages.len() == 1));
-    }
-
-    #[test]
     fn prefix_bounded_stages_surface_their_line_bound() {
         let (planned, _) = plan("cat $IN | grep fox | head -n 1");
         let st = &planned.statements[0];
@@ -935,26 +752,5 @@ mod tests {
         assert_eq!(planned.statements[0].stages[0].line_bound, None);
         let (planned, _) = plan("cat $IN | tail -n 1");
         assert_eq!(planned.statements[0].stages[0].line_bound, None);
-    }
-
-    #[test]
-    fn bounded_stages_form_their_own_stream_segment_in_any_mode() {
-        // head -n 1 plans parallel (First combiner); sed 100q plans with a
-        // rerun combiner — both must segment as Bounded regardless.
-        let (planned, _) = plan("cat $IN | grep fox | head -n 1");
-        let segs = planned.statements[0].stream_segments(true);
-        assert_eq!(
-            segs.last().map(|s| s.kind),
-            Some(StreamSegmentKind::Bounded { lines: 1 })
-        );
-        let (planned, _) = plan("cat $IN | sed 100q | sort");
-        let segs = planned.statements[0].stream_segments(true);
-        assert_eq!(segs[0].kind, StreamSegmentKind::Bounded { lines: 100 });
-        assert_eq!(segs[0].stages, 0..1);
-        // A bounded stage never fuses into a neighboring streamable run.
-        let (planned, _) = plan("cat $IN | grep fox | head -n 2 | grep o");
-        let segs = planned.statements[0].stream_segments(true);
-        assert_eq!(segs.len(), 3);
-        assert_eq!(segs[1].kind, StreamSegmentKind::Bounded { lines: 2 });
     }
 }

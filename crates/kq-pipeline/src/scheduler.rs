@@ -1,10 +1,8 @@
 //! Work-stealing executor for the dataflow IR.
 //!
-//! Where the streaming executor spawns a private thread set per statement
-//! — a feeder plus `segments × (workers + collector)` threads, torn down
-//! and respawned for every statement — this executor runs the *whole
-//! script* on one fixed pool of exactly [`DataflowOptions::workers`]
-//! threads. Each statement's plan becomes a [`DataflowGraph`]
+//! This executor runs the *whole script* on one fixed pool of exactly
+//! [`DataflowOptions::workers`] threads — no thread is spawned or torn
+//! down per statement or per stage. Each statement's plan becomes a [`DataflowGraph`]
 //! (see [`crate::dataflow`] for the node and edge semantics), and the unit
 //! of scheduling is a *task*: "make progress at node N of statement S" —
 //! process one chunk at a map node, drain the input of a fold, cut the
@@ -45,11 +43,11 @@
 //! bound (in-flight results may overshoot it by the amount already
 //! claimed). Early exit is the graph teardown described in
 //! [`crate::dataflow`]: a satisfied bounded consumer cancels every node
-//! above it and *drops chunks already queued on their edges* — work the
-//! channel-based streaming executor would still have drained. Splits and
+//! above it and *drops chunks already queued on their edges*. Splits and
 //! emitters cut chunks lazily and trail a page-release hint behind their
-//! cursor exactly like the streaming feeder, so mapped multi-GB inputs
-//! stream through at O(window) resident memory.
+//! cursor, so mapped multi-GB inputs stream through at O(window) resident
+//! memory; under a spill budget the split's hint trails at most 2 MiB
+//! behind.
 //!
 //! # Partitioned fold finish
 //!
@@ -94,7 +92,6 @@
 //! `tests/multi_statement_differential.rs`; the differential suites also
 //! sweep both `auto` knobs.
 
-use crate::chunked::run_chain;
 use crate::dataflow::{DataflowGraph, FoldMode, NodeKind};
 use crate::exec::{
     gather_files, AdaptiveTelemetry, EarlyExit, ExecutionResult, QueueTelemetry, StageTiming,
@@ -188,7 +185,7 @@ const CREDIT_TICK: Duration = Duration::from_millis(1);
 #[derive(Debug, Clone)]
 pub struct DataflowOptions {
     /// Size of the shared worker pool — the *total* thread budget for the
-    /// whole script, not a per-segment or per-statement figure.
+    /// whole script, not a per-stage or per-statement figure.
     pub workers: usize,
     /// Chunk sizing for splits and for every re-chunking point (fold
     /// outputs, stage-worker re-normalization).
@@ -280,8 +277,7 @@ impl Edge {
 }
 
 /// A lazy cursor over a materialized stream: cuts line-aligned chunks on
-/// demand and trails a page-release hint (`release_lag` bytes) behind,
-/// mirroring the streaming executor's `send_chunked` discipline.
+/// demand and trails a page-release hint (`release_lag` bytes) behind.
 ///
 /// The stream is a list of parts emitted in order without being
 /// concatenated. A part can still be in production — a range of a
@@ -529,7 +525,10 @@ struct RunState<'a> {
     /// Credit rebalancing enabled ([`QueueCredit::Auto`]).
     rebalance: bool,
     workers: usize,
+    /// Page-release lag behind a fold output's emit cursor.
     release_lag: usize,
+    /// Page-release lag behind a split's cursor over the statement input.
+    input_release_lag: usize,
     controller: Mutex<Controller>,
     // Adaptive telemetry, aggregated into `TimingLog::adaptive`.
     initial_chunk: AtomicUsize,
@@ -563,6 +562,16 @@ impl RunState<'_> {
         *generation += 1;
         self.idle.cv.notify_all();
     }
+}
+
+/// Runs `chain` (one node's fused commands) over one chunk. The chunk
+/// enters the first command as the refcounted slice itself — no copy.
+fn run_chain(chain: &[&Command], chunk: Bytes, ctx: &ExecContext) -> Result<Bytes, CmdError> {
+    let mut cur = chunk;
+    for cmd in chain {
+        cur = cmd.run(cur, ctx)?;
+    }
+    Ok(cur)
 }
 
 fn lock<'m, T>(m: &'m Mutex<T>) -> std::sync::MutexGuard<'m, T> {
@@ -618,6 +627,16 @@ pub fn run_dataflow(
         .saturating_mul(queue_seed + workers)
         .saturating_mul(max_nodes + 2)
         .max(16 << 20);
+    // Under a spill budget the contract flips from throughput to bounded
+    // memory: the generous window behind the split's cursor over the
+    // ingest map costs tens of MiB of residency, so cap it and take the
+    // occasional refault — the pages are page-cache-hot anyway. Fold
+    // outputs keep the full lag: capping them too saved no memory on a
+    // spilling `sort | uniq -c` and cost ~10% of its wall time.
+    let input_release_lag = match opts.spill {
+        Some(_) => release_lag.min(2 << 20),
+        None => release_lag,
+    };
 
     // Combiner environments live outside the node states so the
     // incremental folds (which borrow them) can be shared by the pool.
@@ -782,6 +801,7 @@ pub fn run_dataflow(
         rebalance,
         workers,
         release_lag,
+        input_release_lag,
         controller: Mutex::new(Controller {
             last: Instant::now(),
             seen,
@@ -1189,7 +1209,7 @@ fn split_task(cx: &Cx<'_, '_>, si: usize) {
                 .ni(0)
                 .seq(emit.chunks);
             let target = chunk_target(cx.rt, stmt, si, 0, emit.chunks);
-            let chunk = emit.next_chunk(target, cx.rt.release_lag);
+            let chunk = emit.next_chunk(target, cx.rt.input_release_lag);
             span.v(chunk.len() as f64).done();
             push_edge(stmt, 0, chunk);
             scheduled_pushes += 1;
@@ -1384,6 +1404,15 @@ fn map_task(cx: &Cx<'_, '_>, si: usize, ni: usize) {
         }
     }
     schedule_pushes(cx, si, ni + 1, pushed);
+    // Re-arm: a gated task returns without claiming input and counts on a
+    // downstream pop to reschedule the node, but several gated tasks can
+    // share one pop. If this task forwarded nothing (the chunker held its
+    // output back, or it landed out of order), no pop follows it — so it
+    // must reschedule the node itself while input is still queued, or
+    // that input waits forever.
+    if is_worker && !last && pushed == 0 && stmt.edges[ni - 1].len.load(Ordering::Relaxed) > 0 {
+        cx.schedule((si, ni));
+    }
     maybe_finalize_map(cx, si, ni);
 }
 
@@ -1420,15 +1449,29 @@ fn maybe_finalize_map(cx: &Cx<'_, '_>, si: usize, ni: usize) {
         // this is where `sort`'s final run merge happens. A large merge
         // fold comes back cut into key ranges: each range is a task of its
         // own, and the ranges stream out in order as they complete.
-        let (accum, parts) = {
+        let (mut accum, parts, no_pieces) = {
             let mut st = lock(&stmt.nodes[ni]);
             if st.cancelled || !matches!(st.phase, Phase::Collecting) || st.inflight > 0 {
                 return;
             }
             st.phase = Phase::Running;
             let parts = (st.bytes_out_pieces / FINISH_RANGE_BYTES).clamp(1, MAX_FINISH_RANGES);
-            (st.accum.take().expect("combine fold accum"), parts)
+            let accum = st.accum.take().expect("combine fold accum");
+            (accum, parts, st.next_seq == 0)
         };
+        if no_pieces {
+            // No chunk reached the fold: the input was empty, or every
+            // upstream chunk mapped to nothing. The combine of zero pieces
+            // is the empty stream, but the command's answer on an empty
+            // stream need not be (`wc -l` prints `0`), so fold that in.
+            match run_chain(&stmt.chains[ni], Bytes::new(), cx.rt.ctx) {
+                Ok(out) => accum.push(out),
+                Err(e) => {
+                    stmt_error(cx, si, e);
+                    return;
+                }
+            }
+        }
         // `fold-finish` when the fold settles whole; `fold-cut` (sampling
         // splitters and cutting the runs) when it comes back as ranges,
         // each of which then records its own `fold-finish`.

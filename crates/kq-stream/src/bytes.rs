@@ -466,7 +466,7 @@ impl Bytes {
 
     /// Lazy [`Bytes::split_chunks`]: yields the same chunks in the same
     /// order, but computes each boundary on demand, touching only the
-    /// pages of the chunk being produced. The streaming feeder uses this
+    /// pages of the chunk being produced. A pipelined consumer can use this
     /// so a mapped multi-GB input is paged in chunk by chunk, just ahead
     /// of consumption, instead of being fully scanned (and made fully
     /// resident) before the first chunk is sent.
@@ -486,7 +486,7 @@ impl Bytes {
     /// way, because a read-only file-backed private map refaults dropped
     /// pages from the file on the next touch (at re-read cost; callers
     /// should only release data they have structurally finished with).
-    /// The streaming feeder trails one of these behind its chunk cursor so
+    /// The dataflow split trails one of these behind its chunk cursor so
     /// a sequential pass over a mapped file keeps O(window) pages
     /// resident, not O(file).
     pub fn release_range(&self, range: std::ops::Range<usize>) {

@@ -262,7 +262,7 @@ impl<'a> IncrementalCombine<'a> {
 
     /// Number of raw piece handles currently retained for the
     /// gather-first fallback: always `0` on the authoritative path (the
-    /// memory-parity property the streaming barrier collectors rely on),
+    /// memory-parity property the dataflow barrier folds rely on),
     /// the pushed piece count on the selective path.
     pub fn retained_handles(&self) -> usize {
         self.raw.as_ref().map_or(0, Vec::len)

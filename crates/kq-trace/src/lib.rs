@@ -1,7 +1,7 @@
 //! The workspace's tracing and metrics plane.
 //!
 //! Every layer of the pipeline — planning, synthesis, ingest, chunking,
-//! folds, and all five executors — records its work through this crate as
+//! folds, and all three executors — records its work through this crate as
 //! **spans** (an interval of work), **instants** (a point event),
 //! **counters** (a named quantity), and **meta** records (structure, e.g.
 //! the dataflow graph's nodes and statement dependencies). The recorder is
@@ -37,8 +37,6 @@
 //! | `spill` | `run-out`, `map-back` | bounded-memory fold spills |
 //! | `serial` | `stage` | the serial oracle |
 //! | `static` | `stage`, `piece`, `combine` | the static executor |
-//! | `chunked` | `stage`, `map`, `combine` | the chunked executor |
-//! | `streaming` | `statement`, `send`, `map`, `bounded-run`, `seq-run`, `fold-push`, `fold-finish`, `early-exit` | the streaming executor |
 //! | `dataflow` | `run`, `gather-input`, `split`, `map`, `fold-push`, `fold-cut`, `fold-finish` (one per key range of a partitioned merge, `seq` = range), `gather`, `gather-run`, `emit`, `early-exit`, `cancel`, `stmt-finish`, per-node counters | the shared-pool executor, one span per node task |
 //! | `graph` | node-kind metas (`split`, `worker`, `fold`, `gather`, `bounded`), `dep` | dataflow graph structure |
 //!

@@ -2,9 +2,10 @@
 //!
 //! Declares exactly the memory-mapping surface `kq-io` and the
 //! `kq-stream` mmap backing use: `mmap`/`munmap`/`madvise` and their
-//! constants, with the type aliases matching the real crate so a swap to
-//! crates.io `libc` is a drop-in. The symbols resolve against the system
-//! C library every Rust binary already links.
+//! constants, `flock`, and glibc's `mallopt`, with the type aliases
+//! matching the real crate so a swap to crates.io `libc` is a drop-in.
+//! The symbols resolve against the system C library every Rust binary
+//! already links.
 //!
 //! Constant values are the Linux ABI ones (this workspace's only build
 //! and CI target); the whole module is `cfg(unix)` so non-unix builds of
@@ -47,6 +48,20 @@ pub const LOCK_SH: c_int = 1;
 pub const LOCK_EX: c_int = 2;
 /// `flock` operation: release the lock.
 pub const LOCK_UN: c_int = 8;
+
+/// `mallopt` parameter: the allocation size from which glibc `malloc`
+/// serves requests with a private `mmap` (returned to the kernel on
+/// `free`) instead of carving them from an arena. Setting it also stops
+/// glibc's dynamic threshold from growing.
+#[cfg(target_env = "gnu")]
+pub const M_MMAP_THRESHOLD: c_int = -3;
+
+#[cfg(target_env = "gnu")]
+extern "C" {
+    /// Sets the glibc `malloc` tuning parameter `param` to `value`.
+    /// Returns 1 on success, 0 on error.
+    pub fn mallopt(param: c_int, value: c_int) -> c_int;
+}
 
 #[cfg(unix)]
 extern "C" {
@@ -131,5 +146,13 @@ mod tests {
             t.join().unwrap();
         }
         std::fs::remove_file(&path).ok();
+    }
+
+    #[cfg(target_env = "gnu")]
+    #[test]
+    fn mallopt_accepts_the_mmap_threshold() {
+        unsafe {
+            assert_eq!(mallopt(M_MMAP_THRESHOLD, 1 << 20), 1);
+        }
     }
 }

@@ -262,7 +262,7 @@ fn cancelled_256mib_producer_terminates_promptly_without_draining() {
 
 /// The prefix-bounded corpus scripts (`… | head -n 1`-shaped) under the
 /// dataflow scheduler: byte-identical to serial while the bound cancels
-/// upstream, across the same chunk/worker sweep as the streaming suite.
+/// upstream, at chunk sizes 1 B / 700 B / 16 MiB and w ∈ {1, 4}.
 #[test]
 fn prefix_bounded_corpus_scripts_match_serial_under_early_exit() {
     let scale = Scale {

@@ -1,10 +1,9 @@
 //! Worker accounting smoke: the dataflow executor's whole-script thread
 //! budget is exactly `--workers`, regardless of how many statements,
-//! segments, or folds the script contains.
+//! nodes, or folds the script contains.
 //!
-//! The streaming executor spawns a private feeder plus a `segments ×
-//! (workers + collector)` thread set per statement; the dataflow
-//! scheduler replaces all of that with one fixed pool. This test runs a
+//! The scheduler runs the whole script on one fixed pool — no thread per
+//! statement, stage, or fold. This test runs a
 //! 2-statement script under `workers = 2` while a sampler thread polls
 //! `/proc/self/status` `Threads:` and asserts the peak over the baseline
 //! never exceeds the worker budget.
@@ -37,9 +36,8 @@ fn two_statement_script_stays_within_the_worker_budget() {
         .collect();
     ctx.vfs.write("/in.txt", input);
     let env: HashMap<String, String> = HashMap::new();
-    // Two statements — enough per-statement thread demand that the old
-    // per-statement pools would blow past the budget (streaming would
-    // spawn feeder + 3 segments × 3 threads for the first alone).
+    // Two statements — enough per-statement thread demand that a pool per
+    // statement or per stage would blow past the budget.
     let script = parse_script(
         "cat /in.txt | grep word | sort | uniq -c | sort -rn > /out/freq\n\
          cat /in.txt | cut -d ' ' -f 2 | sort -u | head -n 5",
@@ -101,7 +99,7 @@ fn two_statement_script_stays_within_the_worker_budget() {
     assert!(
         peak <= baseline + WORKERS,
         "thread budget exceeded: baseline {baseline}, peak {peak}, budget {WORKERS} \
-         (the scheduler must not spawn per-statement or per-segment pools)"
+         (the scheduler must not spawn per-statement or per-stage pools)"
     );
     assert!(
         peak > baseline,

@@ -1,22 +1,22 @@
-//! The serial-vs-streaming differential harness: every executor must
-//! produce byte-identical output on every script of the paper corpus.
+//! The cross-executor differential harness: every executor must produce
+//! byte-identical output on every script of the paper corpus.
 //!
-//! `run_serial` is the semantics oracle. `run_parallel` (static split),
-//! `run_chunked` (dynamic load balancing), and `run_streaming`
-//! (bounded-queue pipelining) each re-schedule the same work in a
-//! different way, and the combiner equation is the only thing standing
-//! between a scheduling change and silent corruption — so the whole
-//! 70-script corpus runs through all four, and the streaming executor
-//! additionally sweeps chunk sizes including the degenerate extremes
-//! (1 byte → one chunk per line; larger than the input → one chunk
-//! total, i.e. serial execution with channel plumbing).
+//! `run_serial` is the semantics oracle. `run_parallel` (the paper's
+//! static split) and `run_dataflow` (the shared work-stealing pool)
+//! re-schedule the same work in different ways, and the combiner equation
+//! is the only thing standing between a scheduling change and silent
+//! corruption — so the whole 70-script corpus runs through all three,
+//! mapped inputs must be invisible to both parallel executors, and the
+//! dataflow scheduler additionally sweeps its queue-depth, fusion and
+//! worker-count knobs on boundary-sensitive scripts. The full chunk-size
+//! sweep (1 B / 700 B / 16 MiB × w ∈ {1, 4}) over the corpus lives in
+//! `tests/dataflow_differential.rs`.
 
 use kq_coreutils::ExecContext;
-use kq_pipeline::chunked::{run_chunked, ChunkedOptions};
 use kq_pipeline::exec::{run_parallel, run_serial};
 use kq_pipeline::parse::parse_script;
 use kq_pipeline::plan::Planner;
-use kq_pipeline::streaming::{run_streaming, StreamingOptions};
+use kq_pipeline::scheduler::{run_dataflow, ChunkSizing, DataflowOptions, QueueCredit};
 use kq_synth::SynthesisConfig;
 use kq_workloads::{corpus, setup, Scale};
 use std::collections::HashMap;
@@ -47,39 +47,26 @@ fn full_corpus_all_executors_agree() {
             .unwrap_or_else(|e| panic!("{id} parallel: {e}"));
         assert_eq!(parallel.output, serial.output, "{id}: parallel diverged");
 
-        let copts = ChunkedOptions {
-            workers: 3,
-            chunk_bytes: 700,
-            honor_elimination: true,
-        };
-        let chunked = run_chunked(&parsed, &plan, &ctx, &copts)
-            .unwrap_or_else(|e| panic!("{id} chunked: {e}"));
-        assert_eq!(chunked.output, serial.output, "{id}: chunked diverged");
+        let dataflow = run_dataflow(&parsed, &plan, &ctx, &dataflow_opts(3, 700))
+            .unwrap_or_else(|e| panic!("{id} dataflow: {e}"));
+        assert_eq!(dataflow.output, serial.output, "{id}: dataflow diverged");
+    }
+}
 
-        // Streaming sweep: degenerate 1-byte chunks (one line each), a
-        // mid-size target, and a target larger than any input.
-        for chunk_bytes in [1usize, 700, 1 << 24] {
-            let sopts = StreamingOptions {
-                workers: 2,
-                chunk_bytes,
-                queue_depth: 2,
-                fuse_streamable: true,
-                spill: None,
-            };
-            let streaming = run_streaming(&parsed, &plan, &ctx, &sopts)
-                .unwrap_or_else(|e| panic!("{id} streaming (chunk={chunk_bytes}): {e}"));
-            assert_eq!(
-                streaming.output, serial.output,
-                "{id}: streaming diverged at chunk_bytes={chunk_bytes}"
-            );
-        }
+fn dataflow_opts(workers: usize, chunk_bytes: usize) -> DataflowOptions {
+    DataflowOptions {
+        workers,
+        chunk: ChunkSizing::Fixed(chunk_bytes),
+        queue: QueueCredit::Fixed(2),
+        fuse_streamable: true,
+        spill: None,
     }
 }
 
 /// Mapped inputs through every executor: the backing store must be
 /// invisible. A heap-ingested context is the oracle (serial semantics on
 /// owned buffers — exactly the pre-mmap world); the mmap-ingested context
-/// runs parallel, chunked, and streaming at chunk sizes bracketing the
+/// runs static and dataflow, the latter at chunk sizes bracketing the
 /// file size. Cases cover the documented edges: the empty file (mmap
 /// refuses zero length — heap fallback), a file without a trailing
 /// newline (unterminated final chunk), and a file much larger than the
@@ -144,30 +131,14 @@ fn mmap_backed_inputs_match_heap_ingest_on_every_executor() {
                 .unwrap_or_else(|e| panic!("{name} mmap parallel: {e}"));
             assert_eq!(parallel.output, oracle.output, "{name}: parallel diverged");
 
-            let copts = ChunkedOptions {
-                workers: 3,
-                chunk_bytes,
-                honor_elimination: true,
-            };
-            let chunked = run_chunked(&parsed, &plan, &mmap_ctx, &copts)
-                .unwrap_or_else(|e| panic!("{name} mmap chunked: {e}"));
-            assert_eq!(chunked.output, oracle.output, "{name}: chunked diverged");
-
             // Chunk sizes bracketing the file: many chunks per map, and
             // one chunk swallowing the whole file.
-            for cb in [chunk_bytes, 1 << 24] {
-                let sopts = StreamingOptions {
-                    workers: 2,
-                    chunk_bytes: cb,
-                    queue_depth: 2,
-                    fuse_streamable: true,
-                    spill: None,
-                };
-                let streaming = run_streaming(&parsed, &plan, &mmap_ctx, &sopts)
-                    .unwrap_or_else(|e| panic!("{name} mmap streaming (chunk={cb}): {e}"));
+            for cb in [chunk_bytes, 16 << 20] {
+                let dataflow = run_dataflow(&parsed, &plan, &mmap_ctx, &dataflow_opts(2, cb))
+                    .unwrap_or_else(|e| panic!("{name} mmap dataflow (chunk={cb}): {e}"));
                 assert_eq!(
-                    streaming.output, oracle.output,
-                    "{name}: streaming diverged at chunk_bytes={cb}"
+                    dataflow.output, oracle.output,
+                    "{name}: dataflow diverged at chunk_bytes={cb}"
                 );
             }
         }
@@ -176,11 +147,11 @@ fn mmap_backed_inputs_match_heap_ingest_on_every_executor() {
 }
 
 #[test]
-fn streaming_options_sweep_on_boundary_sensitive_scripts() {
+fn dataflow_options_sweep_on_boundary_sensitive_scripts() {
     // Deeper option sweep on pipelines whose combiners are sensitive to
     // where the stream splits (uniq -c stitching, sort merging, head
     // rerun), exercising single-worker pools, depth-1 queues (fully
-    // lock-step), and unfused per-stage channels.
+    // lock-step), and unfused per-stage edges.
     let scale = Scale {
         input_bytes: 20_000,
     };
@@ -208,14 +179,14 @@ fn streaming_options_sweep_on_boundary_sensitive_scripts() {
         for workers in [1usize, 4] {
             for queue_depth in [1usize, 8] {
                 for fuse in [true, false] {
-                    let opts = StreamingOptions {
+                    let opts = DataflowOptions {
                         workers,
-                        chunk_bytes: 512,
-                        queue_depth,
+                        chunk: ChunkSizing::Fixed(512),
+                        queue: QueueCredit::Fixed(queue_depth),
                         fuse_streamable: fuse,
                         spill: None,
                     };
-                    let got = run_streaming(&parsed, &plan, &ctx, &opts).unwrap();
+                    let got = run_dataflow(&parsed, &plan, &ctx, &opts).unwrap();
                     assert_eq!(
                         got.output,
                         serial.output,

@@ -1,5 +1,7 @@
-//! Regression stress for the Fold-finalization race in the dataflow
-//! scheduler (promoted from a temporary reviewer repro).
+//! Regression stress for lost-wakeup hangs in the dataflow scheduler:
+//! the Fold-finalization race (promoted from a temporary reviewer repro)
+//! and a credit-gated stage worker stranding its queued input (the last
+//! test).
 //!
 //! The bug: `gather_task` claimed the inflight counter, popped the final
 //! chunk, and then only rescheduled its *upstream* node — so when a
@@ -58,9 +60,21 @@ fn stress(script_text: &str) {
 }
 
 /// Runs the planned script `iterations` times over a `lines`-line input
-/// under the race-friendly configuration, each run on a detached
-/// watchdog-guarded thread.
+/// under the race-friendly configuration (w=4, 64 B chunks, depth 2,
+/// fused), each run on a detached watchdog-guarded thread.
 fn stress_with(script_text: &str, lines: usize, iterations: usize) {
+    let opts = DataflowOptions {
+        workers: 4,
+        chunk: ChunkSizing::Fixed(64),
+        queue: QueueCredit::Fixed(2),
+        fuse_streamable: true,
+        spill: None,
+    };
+    stress_opts(script_text, lines, iterations, opts);
+}
+
+/// [`stress_with`] under explicit scheduler options.
+fn stress_opts(script_text: &str, lines: usize, iterations: usize, opts: DataflowOptions) {
     let (script, plan, ctx) = plan_stress_script(script_text, lines);
     let expect = {
         let opts = DataflowOptions::default();
@@ -69,21 +83,15 @@ fn stress_with(script_text: &str, lines: usize, iterations: usize) {
     for iter in 0..iterations {
         let (tx, rx) = mpsc::channel();
         let (script, plan, ctx) = (script.clone(), plan.clone(), ctx.clone());
+        let opts = opts.clone();
         std::thread::spawn(move || {
-            let opts = DataflowOptions {
-                workers: 4,
-                chunk: ChunkSizing::Fixed(64),
-                queue: QueueCredit::Fixed(2),
-                fuse_streamable: true,
-                spill: None,
-            };
             let got = run_dataflow(&script, &plan, &ctx, &opts).unwrap();
             // A send failure means the watchdog already gave up.
             let _ = tx.send(got.output);
         });
         match rx.recv_timeout(Duration::from_secs(20)) {
             Ok(out) => assert_eq!(out, expect, "dataflow output diverged at iteration {iter}"),
-            Err(_) => panic!("lost-finalization hang at iteration {iter}"),
+            Err(_) => panic!("scheduler hang at iteration {iter}"),
         }
     }
 }
@@ -112,4 +120,28 @@ fn combine_finalize_stress() {
 #[test]
 fn early_exit_during_partitioned_fold_finish_stress() {
     stress_with("cat /in.txt | sort | head -n 1", 220_000, 40);
+}
+
+/// A credit-gated stage worker must never strand queued input. Under
+/// depth-1 queues several tasks of an unfused `cut` node can find its
+/// output edge full and return, each counting on a downstream pop to
+/// reschedule the node; one pop then stands for all of them. When the
+/// rescheduled task's output stays in the chunker (`cut` shrinks each
+/// 64 B chunk below the target) nothing downstream pops again, and the
+/// input left on the edge used to wait forever with the pool idle.
+#[test]
+fn gated_stage_worker_never_strands_queued_input() {
+    let opts = DataflowOptions {
+        workers: 4,
+        chunk: ChunkSizing::Fixed(64),
+        queue: QueueCredit::Fixed(1),
+        fuse_streamable: false,
+        spill: None,
+    };
+    stress_opts(
+        "cat /in.txt | tr a-z A-Z | cut -d ' ' -f 1 | sort",
+        300,
+        ITERATIONS,
+        opts,
+    );
 }

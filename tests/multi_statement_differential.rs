@@ -10,12 +10,10 @@
 //! redirect target, at chunk sizes bracketing the inputs and w ∈ {1, 4}.
 
 use kq_coreutils::ExecContext;
-use kq_pipeline::chunked::{run_chunked, ChunkedOptions};
 use kq_pipeline::exec::{run_parallel, run_serial};
 use kq_pipeline::parse::parse_script;
 use kq_pipeline::plan::Planner;
 use kq_pipeline::scheduler::{run_dataflow, ChunkSizing, DataflowOptions, QueueCredit};
-use kq_pipeline::streaming::{run_streaming, StreamingOptions};
 use kq_synth::SynthesisConfig;
 use std::collections::HashMap;
 
@@ -136,38 +134,6 @@ fn multi_statement_scripts_agree_across_all_executors() {
             check(&format!("parallel w={workers}"), &ctx, got.output);
 
             for chunk_bytes in [1usize, 700, 16 << 20] {
-                let ctx = fresh_ctx(&input);
-                let copts = ChunkedOptions {
-                    workers,
-                    chunk_bytes,
-                    honor_elimination: true,
-                };
-                let got = run_chunked(&parsed, &plan, &ctx, &copts).unwrap_or_else(|e| {
-                    panic!("{name} chunked (w={workers}, c={chunk_bytes}): {e}")
-                });
-                check(
-                    &format!("chunked w={workers} c={chunk_bytes}"),
-                    &ctx,
-                    got.output,
-                );
-
-                let ctx = fresh_ctx(&input);
-                let sopts = StreamingOptions {
-                    workers,
-                    chunk_bytes,
-                    queue_depth: 2,
-                    fuse_streamable: true,
-                    spill: None,
-                };
-                let got = run_streaming(&parsed, &plan, &ctx, &sopts).unwrap_or_else(|e| {
-                    panic!("{name} streaming (w={workers}, c={chunk_bytes}): {e}")
-                });
-                check(
-                    &format!("streaming w={workers} c={chunk_bytes}"),
-                    &ctx,
-                    got.output,
-                );
-
                 let ctx = fresh_ctx(&input);
                 let dopts = DataflowOptions {
                     workers,

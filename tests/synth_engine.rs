@@ -10,7 +10,7 @@
 //!    of the store) and yields plans with identical stage modes.
 //! 3. **Executor equivalence under the parallel planner** — plans built
 //!    with `synth-workers = 4` (and plans resolved from the warm cache)
-//!    drive the chunked and streaming executors to byte-identical output
+//!    drive the static and dataflow executors to byte-identical output
 //!    against serial.
 
 use kq_coreutils::ExecContext;
@@ -262,32 +262,22 @@ fn parallel_planner_keeps_executors_byte_identical() {
             assert_eq!(planner.reports.len(), 0, "second pass must be warm");
         }
         let serial = run_serial(&parsed, &ctx).unwrap();
-        let chunked = kq_pipeline::chunked::run_chunked(
+        let parallel = kq_pipeline::exec::run_parallel(&parsed, &plan, &ctx, 3, true).unwrap();
+        assert_eq!(parallel.output, serial.output, "static (pass {pass})");
+        let dataflow = kq_pipeline::run_dataflow(
             &parsed,
             &plan,
             &ctx,
-            &kq_pipeline::chunked::ChunkedOptions {
-                workers: 3,
-                chunk_bytes: 700,
-                honor_elimination: true,
-            },
-        )
-        .unwrap();
-        assert_eq!(chunked.output, serial.output, "chunked (pass {pass})");
-        let streaming = kq_pipeline::run_streaming(
-            &parsed,
-            &plan,
-            &ctx,
-            &kq_pipeline::StreamingOptions {
+            &kq_pipeline::DataflowOptions {
                 workers: 2,
-                chunk_bytes: 700,
-                queue_depth: 2,
+                chunk: kq_pipeline::ChunkSizing::Fixed(700),
+                queue: kq_pipeline::QueueCredit::Fixed(2),
                 fuse_streamable: true,
                 spill: None,
             },
         )
         .unwrap();
-        assert_eq!(streaming.output, serial.output, "streaming (pass {pass})");
+        assert_eq!(dataflow.output, serial.output, "dataflow (pass {pass})");
         planner.save_cache().unwrap();
     }
     std::fs::remove_file(&path).ok();
